@@ -13,7 +13,7 @@ holds identically, and the algebra is the free commutative one on its
 alphabet.  The alphabet must contain an identity, since P needs it.
 """
 
-from .shuffle import TensorPoly, _binary_shuffle, _accumulate
+from .shuffle import memo_codec, ring_values, shuffle_sum
 from .words import Word, empty_word, _pretty_name
 
 
@@ -36,6 +36,14 @@ class RBElement:
                 if not ring.is_zero(c):
                     clean[key] = c
         self.terms = clean
+
+    @classmethod
+    def _canonical(cls, ring, lam, semigroup, terms):
+        """Wrap terms that already hold nonzero canonical values."""
+        out = cls.__new__(cls)
+        out.ring, out.lam, out.semigroup, out.terms = \
+            ring, lam, semigroup, terms
+        return out
 
     @classmethod
     def one(cls, ring, lam, semigroup):
@@ -95,33 +103,29 @@ class RBElement:
     def __mul__(self, other):
         if not isinstance(other, RBElement):
             return self.scale(other)
-        return self.mul_shared(other, {})
+        return self.mul_shared(other, None)
 
     def mul_shared(self, other, memo):
-        """Product reusing a caller-held shuffle memo across many calls."""
+        """Product reusing a caller-held shuffle memo across many calls.
+
+        The memo belongs to this ring, weight and alphabet; reusing it
+        with others raises ValueError.  None shares nothing.
+        """
         self._check(other)
         R = self.ring
-        acc = {}
-        for (ha, ta), ca in self.terms.items():
-            for (hb, tb), cb in other.terms.items():
-                head = ha * hb
-                if head is None:
-                    raise ValueError("zero product of heads")
-                c = R.mul(ca, cb)
-                for letters, k in _binary_shuffle(
-                        ta.letters, tb.letters, R, self.lam, memo).items():
-                    key = (head, Word(letters))
-                    cur = acc.get(key)
-                    val = R.mul(c, k)
-                    if cur is None:
-                        acc[key] = val
-                    else:
-                        s = R.add(cur, val)
-                        if R.is_zero(s):
-                            del acc[key]
-                        else:
-                            acc[key] = s
-        return RBElement(R, self.lam, self.semigroup, acc)
+        codec = memo_codec(memo, R, self.lam, self.semigroup)
+        left = [(codec.code(h.key), codec.encode(t), c)
+                for (h, t), c in self.terms.items()]
+        right = [(codec.code(h.key), codec.encode(t), c)
+                 for (h, t), c in other.terms.items()]
+        acc, den = shuffle_sum(R, self.lam, codec, memo, left, right,
+                               heads=True)
+        terms = {}
+        for h, raw in acc.items():
+            head = codec.elements[h]
+            terms.update(ring_values(
+                R, raw, den, lambda t: (head, codec.decode(t))))
+        return RBElement._canonical(R, self.lam, self.semigroup, terms)
 
     __rmul__ = scale
 

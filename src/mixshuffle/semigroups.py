@@ -71,8 +71,9 @@ class Element:
         return self.semigroup.has_identity and self.key == self.semigroup.identity_key
 
     def __eq__(self, other):
-        return (isinstance(other, Element) and other.semigroup == self.semigroup
-                and other.key == self.key)
+        return (isinstance(other, Element) and other.key == self.key
+                and (other.semigroup is self.semigroup
+                     or other.semigroup == self.semigroup))
 
     def __lt__(self, other):
         if not isinstance(other, Element) or other.semigroup != self.semigroup:
@@ -106,6 +107,8 @@ class OrderedSemigroup:
     identity_key = None
     is_graded = False
     is_finite = False
+    # the product layer's integer letter codes, made on first use
+    letter_codec = None
 
     def element(self, key):
         return Element(self, key)

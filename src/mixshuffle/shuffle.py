@@ -8,21 +8,33 @@ their letters, each merged slot contributing one factor of lambda.
 Weight zero is the plain shuffle.
 
 Two independent implementations of the product live here.  The working
-one recurses on first letters (three branches: take from the left word,
-take from the right word, merge both heads).  The oracle enumerates all
-pairs of order-preserving slot injections whose images cover the result
-word and is used only to cross-check the recursion.
+one is a dynamic program over suffix positions of the two words (three
+branches: take the head of the left word, take the head of the right
+word, merge both heads).  The oracle enumerates all pairs of
+order-preserving slot injections whose images cover the result word and
+is used only to cross-check the dynamic program.
+
+Inside the product layer letters are small ints handed out by one
+LetterCodec per alphabet, words are tuples of them, and coefficients
+are plain integers: the number of ways to reach a word, reduced mod the
+ring's modulus when it has one.  A word with k merged slots carries
+lambda^k, which depends on its length alone, so the weight and the
+input coefficients are applied once per result word, and Element and
+Word objects are built only at the end.
 
 Powers are not computed by repeated binary products.  A k-fold shuffle
 collapses to a walk over tuples of consumed-prefix lengths, and factors
 that are equal words at equal positions are interchangeable, so states
-are canonicalized to multisets and branches weighted by binomials.
-This keeps p-th powers of small polynomials tractable for p = 5.
+are canonicalized to multisets and moves weighted by binomials; a move
+whose binomial vanishes in the ring is dropped.  This keeps p-th powers
+of small polynomials tractable for p = 5.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
+from .rings import Q
 from .words import Word, empty_word
 
 
@@ -36,37 +48,6 @@ def _accumulate(acc, ring, letters, coeff):
             del acc[letters]
         else:
             acc[letters] = s
-
-
-def _binary_shuffle(u, v, ring, lam, memo):
-    """Mixable shuffle of letter tuples, as a dict letters -> coeff."""
-    key = (u, v)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if not u:
-        res = {v: ring.one}
-    elif not v:
-        res = {u: ring.one}
-    else:
-        a, ru = u[0], u[1:]
-        b, rv = v[0], v[1:]
-        acc = {}
-        for tail, c in _binary_shuffle(ru, v, ring, lam, memo).items():
-            _accumulate(acc, ring, (a,) + tail, c)
-        for tail, c in _binary_shuffle(u, rv, ring, lam, memo).items():
-            _accumulate(acc, ring, (b,) + tail, c)
-        if not ring.is_zero(lam):
-            ab = a * b
-            if ab is None:
-                raise ValueError(
-                    "letters %r and %r do not multiply; only weight zero "
-                    "works over a bare ordered set" % (a, b))
-            for tail, c in _binary_shuffle(ru, rv, ring, lam, memo).items():
-                _accumulate(acc, ring, (ab,) + tail, ring.mul(lam, c))
-        res = acc
-    memo[key] = res
-    return res
 
 
 def shuffle_letters_oracle(u, v, ring, lam):
@@ -109,73 +90,319 @@ def shuffle_letters_oracle(u, v, ring, lam):
     return acc
 
 
-def _multi_shuffle(letter_tuples, ring, lam, memo):
-    """Shuffle of k words at once as dict letters -> coeff.
+class LetterCodec:
+    """Small-int codes for the letters of one semigroup.
 
-    States are sorted multisets of (remaining word, consumed length);
-    factors at the same word and position are interchangeable, so a
-    branch taking j of the c such factors carries a binomial weight.
-    Keying states by the words themselves keeps one memo valid across
-    every factor multiset of the same power expansion.  Tails accumulate
-    as tuples of raw letter keys rather than elements: the long tails of
-    high powers get hashed constantly, and raw keys keep that in C.  The
-    key-to-letter registry lives in the memo's None slot so memoized
-    states stay decodable across calls sharing the memo.
+    Codes are handed out in first-seen order.  The element and the sort
+    key of each code are kept, and products of codes are cached in a
+    table, so the product kernels never build, hash or multiply an
+    Element: they work on tuples of ints, and decode() turns a result
+    back into a Word at the end.
     """
-    state = tuple(sorted((lt, 0) for lt in letter_tuples if len(lt) > 0))
-    lam_zero = ring.is_zero(lam)
-    reg = memo.setdefault(None, {})
 
-    def walk(st):
-        hit = memo.get(st)
+    __slots__ = ("semigroup", "codes", "keys", "elements", "sort_keys",
+                 "products")
+
+    def __init__(self, semigroup):
+        self.semigroup = semigroup
+        self.codes = {}
+        self.keys = []
+        self.elements = []
+        self.sort_keys = []
+        self.products = {}
+
+    def code(self, key):
+        """The code of the letter with this Element.key."""
+        c = self.codes.get(key)
+        if c is None:
+            c = self.codes[key] = len(self.keys)
+            letter = self.semigroup.element(key)
+            self.keys.append(key)
+            self.elements.append(letter)
+            self.sort_keys.append(letter.sort_key)
+        return c
+
+    def encode(self, word):
+        code = self.code
+        return tuple([code(l.key) for l in word.letters])
+
+    def multiply(self, a, b):
+        """The code of the product of two letters; zero products raise."""
+        c = self.products.get((a, b))
+        if c is None:
+            k = self.semigroup.multiply_keys(self.keys[a], self.keys[b])
+            if k is None:
+                raise ValueError(
+                    "letters %r and %r do not multiply; a bare ordered "
+                    "set only works at weight zero"
+                    % (self.elements[a], self.elements[b]))
+            c = self.products[a, b] = self.products[b, a] = self.code(k)
+        return c
+
+    def decode(self, codes):
+        return Word.with_keys(tuple(map(self.elements.__getitem__, codes)),
+                              tuple(map(self.sort_keys.__getitem__, codes)))
+
+
+def letter_codec(semigroup):
+    """The codec shared by every product over this alphabet object."""
+    codec = semigroup.letter_codec
+    if codec is None:
+        codec = semigroup.letter_codec = LetterCodec(semigroup)
+    return codec
+
+
+# memo slot naming the ring, weight and alphabet the memo was filled for
+_CONTEXT = "context"
+
+
+def memo_codec(memo, ring, lam, semigroup):
+    """The codec of a caller-held shuffle memo (or of no memo, None).
+
+    A memo holds products for one ring, weight and alphabet; the first
+    call tags it with them and a later call with others raises instead
+    of reading products that do not apply.
+    """
+    if memo is None:
+        return letter_codec(semigroup)
+    ctx = memo.get(_CONTEXT)
+    if ctx is None:
+        codec = letter_codec(semigroup)
+        memo[_CONTEXT] = (ring, lam, semigroup, codec)
+        return codec
+    if (ctx[0] is not ring or ctx[2] is not semigroup or ctx[1] != lam) \
+            and ctx[:3] != (ring, lam, semigroup):
+        raise ValueError(
+            "shuffle memo was filled over %r at weight %s on %r, not over "
+            "%r at weight %s on %r" % (ctx[0], ctx[1], ctx[2], ring, lam,
+                                       semigroup))
+    return ctx[3]
+
+
+def _add_prefixed(acc, letter, src, mod):
+    """Add the words of src, each with letter in front, into acc."""
+    get = acc.get
+    for tail, c in src.items():
+        w = (letter,) + tail
+        s = get(w)
+        if s is None:
+            acc[w] = c
+        else:
+            s += c
+            if mod is not None:
+                s %= mod
+            if s:
+                acc[w] = s
+            else:
+                del acc[w]
+
+
+def _quasi_shuffle(u, v, codec, merge, mod, memo):
+    """Counts of the words in the product of two code tuples.
+
+    Returns {code tuple: count}, counts reduced mod `mod` when it is not
+    None and never zero.  The dynamic program runs over suffix positions
+    (i, j): the product of u[i:] and v[j:] is u[i] in front of the
+    product of u[i+1:] and v[j:], plus v[j] in front of the product of
+    u[i:] and v[j+1:], plus (when merging) the letter u[i]v[j] in front
+    of the product of u[i+1:] and v[j+1:].  With a memo every cell is
+    stored in it under its pair of suffixes, so later products share it;
+    without one (None) about one row of cells is kept.  A word
+    with k merged slots carries the weight to the k-th power, which
+    depends on its length only and is applied by the caller, so counts
+    are the same at every nonzero weight.
+    """
+    if not u:
+        return {v: 1}
+    if not v:
+        return {u: 1}
+    if memo is not None:
+        hit = memo.get((u, v))
         if hit is not None:
             return hit
-        if not st:
-            return {(): ring.one}
-        classes = []
-        for key, group in itertools.groupby(st):
-            classes.append((key, len(tuple(group))))
-        acc = {}
-        ranges = [range(cnt + 1) for _, cnt in classes]
-        for take in itertools.product(*ranges):
-            total = sum(take)
-            if total == 0:
-                continue
-            if lam_zero and total != 1:
-                continue
-            letter = None
-            choose = 1
-            for (cls, cnt), j in zip(classes, take):
-                if j == 0:
-                    continue
-                choose *= math.comb(cnt, j)
-                head = cls[0][cls[1]]
-                for _ in range(j):
-                    letter = head if letter is None else letter * head
-                    if letter is None:
-                        raise ValueError(
-                            "letters do not multiply; only weight zero "
-                            "works over a bare ordered set")
-            lk = letter.key
-            reg.setdefault(lk, letter)
-            weight = ring.of(choose)
-            if total > 1:
-                weight = ring.mul(weight, ring.pow_(lam, total - 1))
-            nxt = []
-            for (cls, cnt), j in zip(classes, take):
-                word, pos = cls
-                if j and pos + 1 < len(word):
-                    nxt.extend([(word, pos + 1)] * j)
-                nxt.extend([cls] * (cnt - j))
-            sub = walk(tuple(sorted(nxt)))
-            for tail, c in sub.items():
-                _accumulate(acc, ring, (lk,) + tail,
-                            ring.mul(weight, c))
-        memo[st] = acc
-        return acc
+    m, n = len(u), len(v)
+    us = [u[i:] for i in range(m)]
+    vs = [v[j:] for j in range(n + 1)]
+    below = [{t: 1} for t in vs]  # row i = m: u is used up
+    for i in range(m - 1, -1, -1):
+        a = u[i]
+        ui = us[i]
+        row = [None] * n + [{ui: 1}]
+        for j in range(n - 1, -1, -1):
+            key = (ui, vs[j])
+            res = None if memo is None else memo.get(key)
+            if res is None:
+                b = v[j]
+                res = {(a,) + t: c for t, c in below[j].items()}
+                if b == a:
+                    _add_prefixed(res, b, row[j + 1], mod)
+                else:
+                    res.update({(b,) + t: c for t, c in row[j + 1].items()})
+                if merge:
+                    ab = codec.multiply(a, b)
+                    if ab == a or ab == b:
+                        _add_prefixed(res, ab, below[j + 1], mod)
+                    else:
+                        res.update({(ab,) + t: c
+                                    for t, c in below[j + 1].items()})
+                if memo is not None:
+                    memo[key] = res
+            row[j] = res
+            below[j + 1] = None  # no cell left to compute needs it
+        below = row
+    return below[0]
 
-    out = walk(state)
-    return {tuple(reg[k] for k in kt): c for kt, c in out.items()}
+
+def _multi_shuffle(factors, codec, merge, mod, memo):
+    """Counts of the words in the joint product of k code tuples.
+
+    States are sorted multisets of (factor, consumed length).  Factors at
+    the same word and position are interchangeable, so a move that takes
+    j of the c such factors counts comb(c, j) times, and a move whose
+    count vanishes mod `mod` is left out.  Keying states by the factors
+    themselves keeps one memo valid across every factor multiset of the
+    same power expansion.  As in the binary product, merged slots are
+    counted but not weighted.  The walk keeps its own stack, so long
+    products do not recurse.
+    """
+    root = tuple(sorted((f, 0) for f in factors if f))
+    memo.setdefault((), {(): 1})
+    pending = {}
+    stack = [root]
+    while stack:
+        st = stack[-1]
+        if st in memo:
+            stack.pop()
+            continue
+        moves = pending.get(st)
+        if moves is None:
+            moves = pending[st] = _moves(st, codec, merge, mod)
+            missing = [nxt for _, _, nxt in moves if nxt not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+        stack.pop()
+        del pending[st]
+        acc = {}
+        firsts = set()
+        for letter, count, nxt in moves:
+            sub = memo[nxt]
+            if count != 1:
+                sub = _scaled(sub, count, mod)
+            if letter in firsts:
+                _add_prefixed(acc, letter, sub, mod)
+            else:
+                firsts.add(letter)
+                acc.update({(letter,) + t: c for t, c in sub.items()})
+        memo[st] = acc
+    return memo[root]
+
+
+def _scaled(src, count, mod):
+    """src with every count multiplied by count, leaving out what
+    vanishes mod `mod`."""
+    if mod is None:
+        return {t: c * count for t, c in src.items()}
+    return {t: x for t, c in src.items() if (x := c * count % mod)}
+
+
+def _moves(state, codec, merge, mod):
+    """(letter, count, next state) for every way to fill the next slot:
+    take the heads of a nonempty sub-multiset of the factors, one head
+    alone at weight zero, and multiply them into one letter."""
+    classes = [(cls, len(tuple(group)))
+               for cls, group in itertools.groupby(state)]
+    out = []
+    for take in itertools.product(*[range(cnt + 1) for _, cnt in classes]):
+        total = sum(take)
+        if total == 0 or (not merge and total != 1):
+            continue
+        letter = None
+        count = 1
+        nxt = []
+        for ((word, pos), cnt), j in zip(classes, take):
+            if j:
+                count *= math.comb(cnt, j)
+                head = word[pos]
+                for _ in range(j):
+                    letter = head if letter is None \
+                        else codec.multiply(letter, head)
+                if pos + 1 < len(word):
+                    nxt.extend([(word, pos + 1)] * j)
+            nxt.extend([(word, pos)] * (cnt - j))
+        if mod is not None:
+            count %= mod
+            if not count:
+                continue
+        out.append((letter, count, tuple(sorted(nxt))))
+    return out
+
+
+def _integral(values):
+    """Integer numerators of exact values over their common denominator."""
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _weights(ring, scale, lam, top, most):
+    """scale * lam^k * den(lam)^(top-k) as integers for k = 0..most, so
+    that dividing by den(lam)^top gives scale * lam^k."""
+    num, den = lam.numerator, lam.denominator
+    mod = ring.modulus
+    out = []
+    for k in range(most + 1):
+        w = scale * num ** k * den ** (top - k)
+        out.append(w if mod is None else w % mod)
+    return out
+
+
+def ring_values(ring, raw, den, key_of):
+    """{key_of(k): x / den} over the raw integers x that do not vanish
+    in the ring, as canonical ring values."""
+    mod = ring.modulus
+    if mod is not None:
+        return {key_of(k): r for k, x in raw.items() if (r := x % mod)}
+    if ring.kind == Q:
+        return {key_of(k): Fraction(x, den) for k, x in raw.items() if x}
+    return {key_of(k): x for k, x in raw.items() if x}
+
+
+def shuffle_sum(ring, lam, codec, memo, left, right, heads=False):
+    """Sum of a*b times the product of u and v, over (h, u, a) in left
+    and (g, v, b) in right, with u, v code tuples.
+
+    With heads, h and g are letter codes that multiply in the semigroup
+    and each product is filed under h*g; otherwise they are None.
+    Returns ({head: {code tuple: integer}}, den): the ring value of each
+    word is its integer over den.
+    """
+    if not left or not right:
+        return {}, 1
+    merge = not ring.is_zero(lam)
+    mod = ring.modulus
+    xs, dx = _integral([a for _, _, a in left])
+    ys, dy = _integral([b for _, _, b in right])
+    top = 0
+    if merge:
+        top = min(max(len(u) for _, u, _ in left),
+                  max(len(v) for _, v, _ in right))
+    acc = {}
+    for (h, u, _), x in zip(left, xs):
+        for (g, v, _), y in zip(right, ys):
+            head = codec.multiply(h, g) if heads else None
+            counts = _quasi_shuffle(u, v, codec, merge, mod, memo)
+            size = len(u) + len(v)
+            w = _weights(ring, x * y, lam, top,
+                         min(len(u), len(v)) if merge else 0)
+            bucket = acc.get(head)
+            if bucket is None:
+                acc[head] = {t: w[size - len(t)] * c
+                             for t, c in counts.items()}
+            else:
+                get = bucket.get
+                for t, c in counts.items():
+                    bucket[t] = get(t, 0) + w[size - len(t)] * c
+    return acc, dx * dy * lam.denominator ** top
 
 
 class TensorPoly:
@@ -194,6 +421,14 @@ class TensorPoly:
                 if not ring.is_zero(c):
                     clean[word] = c
         self.terms = clean
+
+    @classmethod
+    def _canonical(cls, ring, lam, semigroup, terms):
+        """Wrap terms that already hold nonzero canonical values."""
+        out = cls.__new__(cls)
+        out.ring, out.lam, out.semigroup, out.terms = \
+            ring, lam, semigroup, terms
+        return out
 
     @classmethod
     def zero(cls, ring, lam, semigroup):
@@ -256,22 +491,23 @@ class TensorPoly:
     def __mul__(self, other):
         if not isinstance(other, TensorPoly):
             return self.scale(other)
-        return self.mul_shared(other, {})
+        return self.mul_shared(other, None)
 
     def mul_shared(self, other, memo):
-        """Product reusing a caller-held shuffle memo across many calls."""
+        """Product reusing a caller-held shuffle memo across many calls.
+
+        The memo belongs to this ring, weight and alphabet; reusing it
+        with others raises ValueError.  None shares nothing.
+        """
         self._check(other)
         R = self.ring
-        acc = {}
-        for wu, cu in self.terms.items():
-            for wv, cv in other.terms.items():
-                c = R.mul(cu, cv)
-                prods = _binary_shuffle(wu.letters, wv.letters,
-                                        R, self.lam, memo)
-                for letters, k in prods.items():
-                    _accumulate(acc, R, letters, R.mul(c, k))
-        return TensorPoly(R, self.lam, self.semigroup,
-                          {Word(l): c for l, c in acc.items()})
+        codec = memo_codec(memo, R, self.lam, self.semigroup)
+        left = [(None, codec.encode(w), c) for w, c in self.terms.items()]
+        right = [(None, codec.encode(w), c) for w, c in other.terms.items()]
+        acc, den = shuffle_sum(R, self.lam, codec, memo, left, right)
+        return TensorPoly._canonical(
+            R, self.lam, self.semigroup,
+            ring_values(R, acc.get(None, {}), den, codec.decode))
 
     __rmul__ = scale
 
@@ -280,25 +516,37 @@ class TensorPoly:
         R = self.ring
         if k == 0:
             return TensorPoly.unit(R, self.lam, self.semigroup)
+        if not self.terms:
+            return TensorPoly.zero(R, self.lam, self.semigroup)
+        codec = letter_codec(self.semigroup)
         items = sorted(self.terms.items(),
                        key=lambda it: it[0].pro_length_key)
+        words = [codec.encode(w) for w, _ in items]
+        nums, den = _integral([c for _, c in items])
+        merge = not R.is_zero(self.lam)
+        mod = R.modulus
+        top = k * max(map(len, words)) if merge else 0
         acc = {}
         memo = {}
-        t = len(items)
-        if t == 0:
-            return TensorPoly.zero(R, self.lam, self.semigroup)
-        for alpha in _compositions(k, t):
-            coeff = R.of(_multinomial(k, alpha))
+        for alpha in _compositions(k, len(items)):
+            coeff = _multinomial(k, alpha)
             factors = []
-            for (word, c), e in zip(items, alpha):
+            for word, x, e in zip(words, nums, alpha):
                 if e:
-                    coeff = R.mul(coeff, R.pow_(c, e))
-                    factors.extend([word.letters] * e)
-            prods = _multi_shuffle(factors, R, self.lam, memo)
-            for letters, c in prods.items():
-                _accumulate(acc, R, letters, R.mul(coeff, c))
-        return TensorPoly(R, self.lam, self.semigroup,
-                          {Word(l): c for l, c in acc.items()})
+                    coeff *= x ** e
+                    factors.extend([word] * e)
+            if mod is not None and coeff % mod == 0:
+                continue
+            size = sum(map(len, factors))
+            w = _weights(R, coeff, self.lam, top, size if merge else 0)
+            get = acc.get
+            for t, c in _multi_shuffle(factors, codec, merge, mod,
+                                       memo).items():
+                acc[t] = get(t, 0) + w[size - len(t)] * c
+        return TensorPoly._canonical(
+            R, self.lam, self.semigroup,
+            ring_values(R, acc, den ** k * self.lam.denominator ** top,
+                        codec.decode))
 
     def __eq__(self, other):
         return (isinstance(other, TensorPoly) and self.ring == other.ring

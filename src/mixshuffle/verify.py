@@ -270,29 +270,48 @@ class PresentedAlgebra:
         gens = self.generators
         len_bound = self.length_bound
 
-        def rec(i, deg_used, len_used, parts, poly):
+        def fits(g, e, deg_used, len_used):
+            return ((g.cap is None or e <= g.cap)
+                    and deg_used + e * g.degree <= degree_bound
+                    and (len_bound is None
+                         or len_used + e * g.lead_length <= len_bound))
+
+        # skip[b][i]: the first generator from i on that fits once into a
+        # degree budget of b, ignoring the length budget
+        skip = []
+        for b in range(degree_bound + 1):
+            row = [len(gens)] * (len(gens) + 1)
+            for i in range(len(gens) - 1, -1, -1):
+                g = gens[i]
+                ok = (g.cap is None or g.cap >= 1) and g.degree <= b
+                row[i] = i if ok else row[i + 1]
+            skip.append(row)
+
+        # depth-first over exponent choices, generator by generator: the
+        # exponent 0 branch first, then 1, 2, ...; generators that do not
+        # fit even once are passed over without nodes of their own
+        stack = [(0, 0, 0, (), self.unit)]
+        while stack:
+            i, deg_used, len_used, parts, poly = stack.pop()
+            row = skip[degree_bound - deg_used]
+            i = row[i]
+            while i < len(gens) and not fits(gens[i], 1, deg_used, len_used):
+                i = row[i + 1]
             if i == len(gens):
                 buckets[deg_used].append(("*".join(parts) or "1", poly))
-                return
+                continue
             g = gens[i]
-            rec(i + 1, deg_used, len_used, parts, poly)
-            e = 0
+            children = [(i + 1, deg_used, len_used, parts, poly)]
+            e = 1
             cur = poly
-            while True:
-                e += 1
-                if g.cap is not None and e > g.cap:
-                    break
-                if deg_used + e * g.degree > degree_bound:
-                    break
-                if len_bound is not None \
-                        and len_used + e * g.lead_length > len_bound:
-                    break
+            while fits(g, e, deg_used, len_used):
                 cur = self._mul(cur, g.image)
                 label = g.name if e == 1 else "%s^%d" % (g.name, e)
-                rec(i + 1, deg_used + e * g.degree,
-                    len_used + e * g.lead_length, parts + [label], cur)
-
-        rec(0, 0, 0, [], self.unit)
+                children.append((i + 1, deg_used + e * g.degree,
+                                 len_used + e * g.lead_length,
+                                 parts + (label,), cur))
+                e += 1
+            stack.extend(reversed(children))
         self._buckets[degree_bound] = buckets
         return buckets
 

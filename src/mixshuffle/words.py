@@ -25,6 +25,15 @@ class Word:
         self.keys = tuple(l.sort_key for l in self.letters)
         self._degree = None
 
+    @classmethod
+    def with_keys(cls, letters, keys):
+        """A word from a letter tuple and its already known sort keys."""
+        w = cls.__new__(cls)
+        w.letters = letters
+        w.keys = keys
+        w._degree = None
+        return w
+
     @property
     def length(self):
         return len(self.letters)
@@ -52,7 +61,8 @@ class Word:
         return isinstance(other, Word) and self.letters == other.letters
 
     def __hash__(self):
-        return hash(self.letters)
+        # equal words have equal sort keys, and plain tuples hash in C
+        return hash(self.keys)
 
     def __len__(self):
         return len(self.letters)

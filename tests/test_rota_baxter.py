@@ -144,6 +144,26 @@ def test_mixed_weight_rejected():
         elem(Q, 0, m, "x", []) * elem(Q, 1, m, "x", [])
 
 
+def test_shared_memo_is_tied_to_ring_weight_and_alphabet():
+    Q, F3 = Ring.rationals(), Ring.prime_field(3)
+    m = monoid("x", "y")
+    memo = {}
+    a = elem(Q, 1, m, "y", ["x"])
+    b = elem(Q, 1, m, "1", ["x", "y", "x"])
+    assert a.mul_shared(b, memo) == a * b
+    assert a.mul_shared(b, memo) == a * b
+    a3 = elem(F3, 2, m, "y", ["x"])
+    b3 = elem(F3, 2, m, "1", ["x", "y", "x"])
+    key = (m.parse("y"), Word((m.parse("x^2"), m.parse("y"), m.parse("x"))))
+    assert (a3 * b3).terms[key] == 2
+    with pytest.raises(ValueError):
+        a3.mul_shared(b3, memo)
+    with pytest.raises(ValueError):
+        other = monoid("x", "z")
+        elem(Q, 1, other, "x", ["x"]).mul_shared(
+            elem(Q, 1, other, "1", ["z"]), memo)
+
+
 def test_alphabet_must_have_identity():
     Q = Ring.rationals()
     with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 """The weighted shuffle product on tensor words.
 
-The recursive product is the implementation under test; the enumeration
-oracle builds every interleaving-with-merges directly from subset choices
-and never recurses, so the two routes are independent.  Small hand-worked
-products are frozen on top of the cross-check.
+The dynamic-programming product is the implementation under test; the
+enumeration oracle builds every interleaving-with-merges directly from
+subset choices, so the two routes are independent.  Powers are checked
+against repeated binary products.  Small hand-worked products are frozen
+on top of the cross-checks.
 """
 
 import itertools
@@ -13,16 +14,21 @@ from fractions import Fraction
 import pytest
 
 from mixshuffle import (
+    FiniteTableSemigroup,
     FreeAbelian,
     OrderedSet,
+    ProductSemigroup,
     Ring,
     TensorPoly,
+    Unitarized,
     Word,
     empty_word,
     enumerate_words,
     eettl_representative,
     graded_basis,
     length_rescale,
+    min_semilattice,
+    semigroup_from_preset,
     shuffle_oracle,
     with_weight,
     word_poly,
@@ -32,6 +38,10 @@ from mixshuffle import (
 def poly_of(ring, lam, semigroup, names, coeff=1):
     letters = tuple(semigroup.parse(n) for n in names)
     return TensorPoly.from_word(ring, lam, semigroup, Word(letters), coeff)
+
+
+def assert_no_zero_terms(poly):
+    assert not any(poly.ring.is_zero(c) for c in poly.terms.values()), poly
 
 
 # hand-worked products
@@ -107,7 +117,9 @@ def test_recursion_matches_oracle_one_generator():
                 continue
             a = TensorPoly.from_word(Q, lam, f, u)
             b = TensorPoly.from_word(Q, lam, f, v)
-            assert a * b == shuffle_oracle(a, b), (u, v, lam)
+            prod = a * b
+            assert prod == shuffle_oracle(a, b), (u, v, lam)
+            assert_no_zero_terms(prod)
 
 
 def test_recursion_matches_oracle_two_generators():
@@ -118,7 +130,32 @@ def test_recursion_matches_oracle_two_generators():
         for u, v in itertools.product(words, repeat=2):
             a = TensorPoly.from_word(F3, lam, f, u)
             b = TensorPoly.from_word(F3, lam, f, v)
-            assert a * b == shuffle_oracle(a, b), (u, v, lam)
+            prod = a * b
+            assert prod == shuffle_oracle(a, b), (u, v, lam)
+            assert_no_zero_terms(prod)
+    # every kind of alphabet, over Z and Z/3^4: merges that hit the
+    # identity, idempotents, a finite group and a lexicographic product
+    alphabets = [
+        (semigroup_from_preset("mu:3,1"), (0, 1, 2)),
+        (min_semilattice(["a", "b", "c"]), (0, 1, 3)),
+        (FiniteTableSemigroup([[1, 0], [0, 1]], order=[1, 0],
+                              names=["g", "e"]), (0, -1)),
+        (Unitarized(FreeAbelian(["x"])), (0, 1, 3)),
+        (ProductSemigroup(semigroup_from_preset("mu:2,1"),
+                          FreeAbelian(["z"])), (0, 1)),
+        (OrderedSet(["a", "b"]), (0,)),
+    ]
+    for R in (Ring.integers(), Ring.truncated_padic(3, 4)):
+        for sg, lams in alphabets:
+            words = enumerate_words(sg, 2, 2)
+            for lam in lams:
+                for u, v in itertools.product(words, repeat=2):
+                    a = TensorPoly.from_word(R, lam, sg, u, 3)
+                    b = TensorPoly.from_word(R, lam, sg, v, -1)
+                    b = b + TensorPoly.from_word(R, lam, sg, u, 9)
+                    prod = a * b
+                    assert prod == shuffle_oracle(a, b), (sg, R, lam, u, v)
+                    assert_no_zero_terms(prod)
 
 
 def test_product_commutes_and_associates():
@@ -131,6 +168,33 @@ def test_product_commutes_and_associates():
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+def test_shared_memo_is_tied_to_ring_weight_and_alphabet():
+    f = FreeAbelian(["x", "y"])
+    Q, F3 = Ring.rationals(), Ring.prime_field(3)
+    memo = {}
+    a = poly_of(Q, 1, f, ["x"])
+    b = poly_of(Q, 1, f, ["x", "y", "x"])
+    assert a.mul_shared(b, memo) == a * b
+    assert a.mul_shared(b, memo) == a * b
+    # the same words over another ring and weight must not read the memo
+    a3 = poly_of(F3, 2, f, ["x"])
+    b3 = poly_of(F3, 2, f, ["x", "y", "x"])
+    x, y = f.parse("x"), f.parse("y")
+    assert (a3 * b3).coefficient(Word((x ** 2, y, x))) == 2
+    with pytest.raises(ValueError):
+        a3.mul_shared(b3, memo)
+    with pytest.raises(ValueError):
+        poly_of(Q, 2, f, ["x"]).mul_shared(poly_of(Q, 2, f, ["y"]), memo)
+    g = FreeAbelian(["x", "z"])
+    with pytest.raises(ValueError):
+        poly_of(Q, 1, g, ["x"]).mul_shared(poly_of(Q, 1, g, ["z"]), memo)
+    # an equal ring and alphabet built afresh may share it
+    again = FreeAbelian(["x", "y"])
+    c = poly_of(Ring.rationals(), 1, again, ["x"])
+    d = poly_of(Ring.rationals(), 1, again, ["x", "y", "x"])
+    assert c.mul_shared(d, memo) == a * b
 
 
 def test_ordered_set_merges():
@@ -193,6 +257,26 @@ def test_shuffle_power_matches_iterated_product():
     assert base.shuffle_power(1) == base
     assert base.shuffle_power(2) == base * base
     assert base.shuffle_power(3) == base * base * base
+    # p-th powers mod p and mod p^4: the multinomials of the mixed terms
+    # vanish mod p, the ones of pure powers do not
+    for p in (2, 3, 5):
+        for R in (Ring.prime_field(p), Ring.truncated_padic(p, 4)):
+            for lam in (0, 1, 2):
+                polys = [poly_of(R, lam, f, ["x"])
+                         + poly_of(R, lam, f, ["y"], 2),
+                         poly_of(R, lam, f, ["x"], 3)
+                         + poly_of(R, lam, f, ["x^2"])
+                         - poly_of(R, lam, f, ["y"])]
+                if p < 5:
+                    polys.append(poly_of(R, lam, f, ["x", "y"])
+                                 + poly_of(R, lam, f, ["y"], p + 1))
+                for base in polys:
+                    power = base.shuffle_power(p)
+                    iterated = base
+                    for _ in range(p - 1):
+                        iterated = iterated * base
+                    assert power == iterated, (R, lam, base)
+                    assert_no_zero_terms(power)
 
 
 def test_shuffle_power_weight_zero_single_letter():

@@ -7,6 +7,7 @@ regression in any of the three shows up as a diff against this file.
 """
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from mixshuffle import (
     PresentedAlgebra,
     Ring,
     TensorPoly,
+    Word,
     check_independence,
     check_spanning,
     compute_cokernel_basis,
@@ -307,6 +309,19 @@ def test_report_render_and_json():
     assert parsed["theorem"] == "radford"
     assert parsed["passed"] is True
     assert [c["dimension"] for c in parsed["cells"]] == [1, 1, 2, 4]
+
+
+def test_monomials_do_not_recurse_per_generator():
+    # more generators than the recursion limit, none of which fits the
+    # degree bound: only the empty monomial is left
+    Q = Ring.rationals()
+    f = FreeAbelian(["x"])
+    x = f.parse("x")
+    sym = word_symbol(Q, 0, f, Word((x ** 3,)))
+    count = sys.getrecursionlimit() + 50
+    alg = PresentedAlgebra(Q, 0, f, [sym] * count, TensorPoly.unit(Q, 0, f))
+    buckets = alg.monomials_by_degree(2)
+    assert buckets == {0: [("1", alg.unit)], 1: [], 2: []}
 
 
 def test_failing_report_has_exit_code_one():
