@@ -127,16 +127,23 @@ class LetterCodec:
         return tuple([code(l.key) for l in word.letters])
 
     def multiply(self, a, b):
-        """The code of the product of two letters; zero products raise."""
-        c = self.products.get((a, b))
-        if c is None:
+        """The code of the product of two letters, None for zero."""
+        try:
+            return self.products[a, b]
+        except KeyError:
             k = self.semigroup.multiply_keys(self.keys[a], self.keys[b])
-            if k is None:
-                raise ValueError(
-                    "letters %r and %r do not multiply; a bare ordered "
-                    "set only works at weight zero"
-                    % (self.elements[a], self.elements[b]))
-            c = self.products[a, b] = self.products[b, a] = self.code(k)
+            c = None if k is None else self.code(k)
+            self.products[a, b] = self.products[b, a] = c
+            return c
+
+    def merge(self, a, b):
+        """The product of two letters merged into one slot."""
+        c = self.multiply(a, b)
+        if c is None:
+            raise ValueError(
+                "letters %r and %r do not multiply; only weight zero "
+                "works over a bare ordered set"
+                % (self.elements[a], self.elements[b]))
         return c
 
     def decode(self, codes):
@@ -239,7 +246,7 @@ def _quasi_shuffle(u, v, codec, merge, mod, memo):
                 else:
                     res.update({(b,) + t: c for t, c in row[j + 1].items()})
                 if merge:
-                    ab = codec.multiply(a, b)
+                    ab = codec.merge(a, b)
                     if ab == a or ab == b:
                         _add_prefixed(res, ab, below[j + 1], mod)
                     else:
@@ -326,7 +333,7 @@ def _moves(state, codec, merge, mod):
                 head = word[pos]
                 for _ in range(j):
                     letter = head if letter is None \
-                        else codec.multiply(letter, head)
+                        else codec.merge(letter, head)
                 if pos + 1 < len(word):
                     nxt.extend([(word, pos + 1)] * j)
             nxt.extend([(word, pos)] * (cnt - j))
@@ -389,7 +396,11 @@ def shuffle_sum(ring, lam, codec, memo, left, right, heads=False):
     acc = {}
     for (h, u, _), x in zip(left, xs):
         for (g, v, _), y in zip(right, ys):
-            head = codec.multiply(h, g) if heads else None
+            head = None
+            if heads:
+                head = codec.multiply(h, g)
+                if head is None:
+                    raise ValueError("zero product of heads")
             counts = _quasi_shuffle(u, v, codec, merge, mod, memo)
             size = len(u) + len(v)
             w = _weights(ring, x * y, lam, top,
