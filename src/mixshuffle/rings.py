@@ -7,9 +7,10 @@ plain ints or Fractions; a Ring object does the arithmetic, so nothing
 here ever touches floating point.
 
 The linear algebra is exact as well: fraction-free determinants, row
-reduction over the two fields, Smith normal form over the integers, and
-linear solving over every ring including Z/p^N (where elimination has to
-respect p-valuations).
+reduction over the two fields, Smith normal form over the integers
+(elementary divisors alone by unit-pivot sparse elimination, with the
+dense form only on what is left), and linear solving over every ring
+including Z/p^N (where elimination has to respect p-valuations).
 """
 
 from fractions import Fraction
@@ -363,6 +364,16 @@ class Matrix:
                 raise ValueError("ragged rows")
 
     @classmethod
+    def _raw(cls, ring, rows, nrows, ncols):
+        # rows already hold canonical values: skip the per-entry coercion
+        self = object.__new__(cls)
+        self.ring = ring
+        self.rows = rows
+        self.nrows = nrows
+        self.ncols = ncols
+        return self
+
+    @classmethod
     def identity(cls, ring, n):
         one, zero = ring.one, ring.zero
         return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)],
@@ -558,12 +569,16 @@ class Matrix:
                 row[j], row[k] = row[k], row[j]
 
         def pivot_position(t):
+            # the first entry of least absolute value in row-major order;
+            # no entry beats a unit, so the scan stops at the first one
             best = None
             for i in range(t, m):
                 for j in range(t, n):
                     x = a[i][j]
                     if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
                         best = (i, j)
+                        if x == 1 or x == -1:
+                            return best
             return best
 
         t = 0
@@ -615,8 +630,7 @@ class Matrix:
             if t == min(m, n):
                 break
         D = [a[i][i] for i in range(min(m, n)) if a[i][i] != 0]
-        ringz = self.ring
-        return D, Matrix(ringz, u, nrows=m, ncols=m), Matrix(ringz, v, nrows=n, ncols=n)
+        return D, Matrix._raw(self.ring, u, m, m), Matrix._raw(self.ring, v, n, n)
 
     # solving
 
@@ -692,6 +706,73 @@ class Matrix:
                 return None
         x = V.apply_vector(y)
         return [R.of(xi) for xi in x]
+
+
+def elementary_divisors(columns):
+    """The nonzero elementary divisors over Z of a matrix given by columns.
+
+    Each column is a sparse dict from a row key (any hashable) to int.
+    The result equals the D of Matrix.smith_normal_form on the same
+    matrix.  Entries +-1 are pivoted away first, each adding a divisor 1;
+    among them the one whose row and column have the fewest other entries
+    (Markowitz cost) goes first, which keeps the fill-in small.  Only the
+    Schur complement left when no unit entry remains is handed to the
+    dense Smith normal form.
+    """
+    cols = {}
+    row_cols = {}
+    for j, column in enumerate(columns):
+        column = {i: x for i, x in column.items() if x}
+        if column:
+            cols[j] = column
+            for i in column:
+                row_cols.setdefault(i, set()).add(j)
+    pivots = 0
+    while True:
+        best = None
+        for j, column in cols.items():
+            others = len(column) - 1
+            for i, x in column.items():
+                if x == 1 or x == -1:
+                    cost = others * (len(row_cols[i]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        _, r, j = best
+        pivot = cols.pop(j)
+        u = pivot.pop(r)
+        for i in pivot:
+            row_cols[i].discard(j)
+        hit = row_cols.pop(r)
+        hit.discard(j)
+        # clear row r with column operations; what is left of the pivot
+        # column is then cleared by row operations that touch nothing else
+        for k in hit:
+            column = cols[k]
+            f = column.pop(r) * u
+            for i, x in pivot.items():
+                v = column.get(i, 0) - f * x
+                if v:
+                    if i not in column:
+                        row_cols[i].add(k)
+                    column[i] = v
+                else:
+                    del column[i]
+                    row_cols[i].discard(k)
+            if not column:
+                del cols[k]
+        pivots += 1
+    divisors = [1] * pivots
+    if cols:
+        rows = [i for i, js in row_cols.items() if js]
+        dense = Matrix._raw(Ring.integers(),
+                            [[cols[j].get(i, 0) for j in cols] for i in rows],
+                            len(rows), len(cols))
+        divisors.extend(dense.smith_normal_form()[0])
+    return divisors
 
 
 class SparseEliminator:

@@ -9,9 +9,9 @@ algebra.  What "comparison" means depends on the coefficient ring:
   monomial count, and the rank of the image matrix agree; the matrix is
   eliminated cumulatively in ascending degree so that merges that lower
   degree (non-graded letter semigroups) are still certified;
-* over Z a degree slice must give a square image matrix whose Smith normal
-  form has every elementary divisor equal to 1, which pins a Z-module
-  basis, and spanning is additionally witnessed by solving for each word;
+* over Z a degree slice must give a square image matrix whose elementary
+  divisors are all 1, which pins a Z-module basis: every word is then an
+  integral combination of the monomials;
 * over Z/p^N independence is full column rank after reduction mod p, so a
   square system has unit determinant and stays a basis at any precision.
 
@@ -22,9 +22,11 @@ reproducible.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
-from .rings import Ring, Matrix, SparseEliminator, _is_prime
+from .rings import Ring, Matrix, SparseEliminator, _is_prime, \
+    elementary_divisors
 from .semigroups import Element, Unitarized, FreeAbelian, ProductSemigroup, \
     ElementaryPGroup, FiniteTableSemigroup, cyclic_group_table
 from .words import Word, empty_word, enumerate_words, enumerate_lyndon, \
@@ -450,9 +452,10 @@ class _ZSolver:
         return self.V.apply_vector(y)
 
 
-def _z_square_cells(report, ring_z, rows_by_degree, cols_by_degree,
-                    solve_words=False):
-    """Square unimodular certification per degree over Z."""
+def _z_square_cells(report, rows_by_degree, cols_by_degree):
+    """Square unimodular certification per degree over Z: every elementary
+    divisor 1 on a square cell makes the monomials a Z-basis of the words,
+    so every word is an integral combination of them."""
     for n in sorted(rows_by_degree):
         keys = rows_by_degree[n]
         index = {k: i for i, k in enumerate(keys)}
@@ -465,21 +468,18 @@ def _z_square_cells(report, ring_z, rows_by_degree, cols_by_degree,
         elif keys:
             vectors = []
             for name, vec in cols:
-                column = [0] * len(keys)
-                escaped = False
+                column = {}
                 for k, c in vec.items():
                     if k not in index:
                         note = "image of %s leaves the window" % name
-                        escaped = True
+                        ok = False
                         break
                     column[index[k]] = c
-                if escaped:
-                    ok = False
+                if not ok:
                     break
                 vectors.append(column)
             if ok:
-                matrix = Matrix.from_columns(ring_z, vectors, len(keys))
-                divisors, _, _ = matrix.smith_normal_form()
+                divisors = elementary_divisors(vectors)
                 rank = len(divisors)
                 bad = [d for d in divisors if d != 1]
                 ok = rank == len(keys) and not bad
@@ -487,16 +487,6 @@ def _z_square_cells(report, ring_z, rows_by_degree, cols_by_degree,
                     note = "elementary divisors %s" % bad
                 elif rank != len(keys):
                     note = "rank %d of %d" % (rank, len(keys))
-                if ok and solve_words:
-                    solver = _ZSolver(matrix)
-                    for k in keys:
-                        target = [1 if kk == k else 0 for kk in keys]
-                        if solver.solve(target) is None:
-                            ok = False
-                            report.counterexample = (
-                                "word %s is not an integral combination"
-                                % _key_text(k))
-                            break
         report.cells.append(
             CellRecord(n, len(keys), len(cols), rank, ok, note))
 
@@ -509,11 +499,17 @@ def _key_text(key):
 
 
 def check_independence(algebra, degree):
-    """Are the degree-n monomial images linearly independent?"""
+    """Do the degree-n monomial images span a free direct summand?
+
+    Over a field that is linear independence.  Over Z it is stronger:
+    every elementary divisor of the image matrix must be 1, so the images
+    are independent and their span is saturated (a divisor d > 1 means a
+    word-lattice vector outside the span has d times it inside).  Over
+    Z/p^N it is independence after reduction mod p.
+    """
     ring = algebra.ring
     cols = algebra.monomials(degree)
-    universe = sorted({k for _, img in cols for k in img.terms},
-                      key=_generic_key_order)
+    universe = {k for _, img in cols for k in img.terms}
     note = None
     rank = 0
     if ring.is_field:
@@ -526,19 +522,12 @@ def check_independence(algebra, degree):
                 note = "%s = %s" % (name, _combo_text(combo or {}, ring))
         ok = rank == len(cols)
     elif ring.kind == "Z":
-        index = {k: i for i, k in enumerate(universe)}
-        vectors = []
-        for _, img in cols:
-            column = [0] * len(universe)
-            for k, c in img.terms.items():
-                column[index[k]] = c
-            vectors.append(column)
-        matrix = Matrix.from_columns(ring, vectors, len(universe))
-        divisors, _, _ = matrix.smith_normal_form()
+        divisors = elementary_divisors([img.terms for _, img in cols])
         rank = len(divisors)
         ok = rank == len(cols) and all(d == 1 for d in divisors)
         if not ok:
-            note = "elementary divisors %s" % (divisors,)
+            note = "not a direct summand: elementary divisors %s" % (
+                divisors,)
     else:
         fp = Ring.prime_field(ring.p)
         elim = SparseEliminator(fp, _generic_key_order)
@@ -971,9 +960,14 @@ def compute_cokernel_basis(semigroup, weight, degree):
     Columns of the map are all products of lower-degree basis words; the
     cokernel must be free, of rank the Lyndon count.  The complement is
     lifted greedily through plain words, largest in pro-length order
-    first, each acceptance keeping the chosen set a direct summand; if the
-    greedy word walk cannot finish, an explicit unimodular complement is
-    taken from the Smith transform instead.
+    first, each acceptance keeping the chosen set a direct summand.  The
+    walk reads each word's cokernel coordinates off the Smith transform U
+    and keeps them reduced by a unimodular T that takes the chosen words
+    to unit upper triangular form: a word is accepted exactly when its
+    reduced coordinates below the chosen rows have gcd 1, and Euclid row
+    operations then extend the triangle by one column.  If the greedy word
+    walk cannot finish, an explicit unimodular complement is taken from
+    the Smith transform instead.
     """
     weight = Fraction(weight)
     _require(weight.denominator == 1, "integral checks need integer weight")
@@ -1007,27 +1001,24 @@ def compute_cokernel_basis(semigroup, weight, degree):
                        if w.degree == degree)
     offending = [d for d in divisors if d != 1]
 
-    def coords(j):
-        return [U.rows[i][j] for i in range(rank, m)]
-
+    # the rows T * (rows rank.. of U); det tracks the determinant of the
+    # chosen words' cokernel coordinates
+    reduced = [row[:] for row in U.rows[rank:]]
     chosen_words = []
-    chosen_cols = []
+    det = 1
     for w in reversed(rows):
-        if len(chosen_words) == coker_rank:
+        t = len(chosen_words)
+        if t == coker_rank:
             break
-        candidate = chosen_cols + [coords(index[w])]
-        trial = Matrix.from_columns(ring, candidate, coker_rank)
-        d, _, _ = trial.smith_normal_form()
-        if len(d) == len(candidate) and all(x == 1 for x in d):
+        j = index[w]
+        if math.gcd(*[row[j] for row in reduced[t:]]) == 1:
+            det *= _euclid_pivot(reduced, t, j)
             chosen_words.append(w)
-            chosen_cols.append(candidate[-1])
     if len(chosen_words) == coker_rank:
         method = "greedy-words"
         lifted = [word_poly(ring, lam, semigroup, w.letters)
                   for w in chosen_words]
         names = [w.display(True) for w in chosen_words]
-        square = Matrix.from_columns(ring, chosen_cols, coker_rank)
-        det = square.det_bareiss() if coker_rank else 1
     else:
         # a complement of plain words can fail to exist; fall back to the
         # exact complement read off the unimodular row transform
@@ -1062,6 +1053,26 @@ def compute_cokernel_basis(semigroup, weight, degree):
     return diagnosis, lifted
 
 
+def _euclid_pivot(rows, t, j):
+    """Row operations on rows[t:] that leave column j with +-1 in row t and
+    0 below it, when those entries have gcd 1; returns the determinant of
+    the operations times that pivot."""
+    while True:
+        p = min((i for i in range(t, len(rows)) if rows[i][j]),
+                key=lambda i: abs(rows[i][j]))
+        pivot = rows[p]
+        done = True
+        for i in range(t, len(rows)):
+            if i != p and rows[i][j]:
+                q = rows[i][j] // pivot[j]
+                rows[i] = [a - q * b for a, b in zip(rows[i], pivot)]
+                done = done and not rows[i][j]
+        if done:
+            break
+    rows[t], rows[p] = rows[p], rows[t]
+    return pivot[j] if p == t else -pivot[j]
+
+
 def _cokernel_check(diag):
     ok = diag["free"] and diag["rank_matches"] \
         and diag["complement_det"] in (1, -1)
@@ -1092,9 +1103,7 @@ def verify_z_polynomial(semigroup, weight, degree_bound):
     algebra = PresentedAlgebra(ring, lam, semigroup, gens,
                                TensorPoly.unit(ring, lam, semigroup))
     rows = _tensor_rows(semigroup, degree_bound, None)
-    _z_square_cells(report, ring, rows,
-                    _column_buckets(algebra, degree_bound),
-                    solve_words=True)
+    _z_square_cells(report, rows, _column_buckets(algebra, degree_bound))
     return report
 
 
@@ -1125,25 +1134,25 @@ def verify_nested_summand(semigroups, weight, degree_bound):
     report = VerificationReport("intfr-nested", ring, weight, semigroups[-1],
                                 {"degree": degree_bound,
                                  "chain": len(semigroups)})
-    for step, (small, big) in enumerate(zip(semigroups, semigroups[1:])):
+    # one basis per alphabet and degree: step k's big alphabet is step
+    # k+1's small one
+    bases = [[compute_cokernel_basis(s, lam, n)
+              for n in range(1, degree_bound + 1)] for s in semigroups]
+    for step, big in enumerate(semigroups[1:]):
         for n in range(1, degree_bound + 1):
-            _, lifted = compute_cokernel_basis(small, lam, n)
-            diag_big, _ = compute_cokernel_basis(big, lam, n)
+            _, lifted = bases[step][n - 1]
+            diag_big, _ = bases[step + 1][n - 1]
             U, rank = diag_big["_U"], diag_big["_rank"]
-            rows_big = diag_big["_rows"]
-            index = {w: i for i, w in enumerate(rows_big)}
-            m = len(rows_big)
+            index = {w: i for i, w in enumerate(diag_big["_rows"])}
             columns = []
             for poly in lifted:
-                vec = [0] * m
-                for w, c in poly.terms.items():
-                    vec[index[_pad_word(w, big)]] = c
-                columns.append([sum(U.rows[i][j] * vec[j]
-                                    for j in range(m) if vec[j])
-                                for i in range(rank, m)])
+                vec = {index[_pad_word(w, big)]: c
+                       for w, c in poly.terms.items()}
+                columns.append({i: sum(U.rows[i][j] * c
+                                       for j, c in vec.items())
+                                for i in range(rank, len(index))})
             size = diag_big["coker_rank"]
-            matrix = Matrix.from_columns(ring, columns, size)
-            d, _, _ = matrix.smith_normal_form()
+            d = elementary_divisors(columns)
             ok = len(d) == len(columns) and all(x == 1 for x in d)
             report.cells.append(CellRecord(
                 n, size, len(columns), len(d), ok,
@@ -1308,7 +1317,7 @@ def _verify_rbaz(alphabet, weight, degree_bound, length_bound):
         for key in interior:
             cols.append(("N:%s" % _key_text(key), {key: 1}))
         cols_by_degree[n] = cols
-    _z_square_cells(report, ring, rows_by_degree, cols_by_degree)
+    _z_square_cells(report, rows_by_degree, cols_by_degree)
     return report
 
 

@@ -5,6 +5,7 @@ base-p digit expansions, elementary divisor chains) so the matrix code is
 checked against an independent computation, not against itself.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,8 @@ from mixshuffle import (
     base_power_multinomial,
     p_adic_valuation,
 )
-from mixshuffle.rings import _is_prime, base_p_digits, is_p_adic_unit
+from mixshuffle.rings import _is_prime, base_p_digits, elementary_divisors, \
+    is_p_adic_unit
 
 
 # ring arithmetic
@@ -209,6 +211,57 @@ def test_smith_normal_form_identity_and_rank_deficient():
     assert D == [1, 1, 1]
     D, U, V = Matrix(Z, [[1, 2], [2, 4], [3, 6]]).smith_normal_form()
     assert D == [1]
+
+
+def test_elementary_divisors_hand_values():
+    # no unit entry: the whole matrix is the residual
+    assert elementary_divisors([{0: 2}, {1: 3}]) == [1, 6]
+    assert elementary_divisors([{0: 2, 1: 6}, {0: 4, 1: 8}]) == [2, 4]
+    # one unit pivot, then a residual 2
+    assert elementary_divisors([{0: 1, 1: 1}, {0: 1, 1: 3}]) == [1, 2]
+    # rank deficient, zero columns and rows, empty shapes
+    assert elementary_divisors([{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}]) \
+        == [1]
+    assert elementary_divisors([{}, {5: 0}, {}]) == []
+    assert elementary_divisors([]) == []
+
+
+def _smith_divisors(m, n, columns):
+    rows = [[columns[j].get(i, 0) for j in range(n)] for i in range(m)]
+    return Matrix(Ring.integers(), rows, nrows=m, ncols=n) \
+        .smith_normal_form()[0]
+
+
+def test_elementary_divisors_match_smith_normal_form():
+    rng = random.Random(20011)
+    unit_free = (0, 0, 0, 2, -2, 3, 4, -6, 9)
+    mixed = (0, 0, 0, 0, 1, -1, 1, 2, -3, 5)
+    shapes = {"residual": 0, "no rows or no columns": 0, "duplicates": 0}
+    for trial in range(3000):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        values = unit_free if trial % 3 == 0 else mixed
+        columns = [{i: rng.choice(values) for i in range(m)}
+                   for _ in range(n)]
+        if n >= 2 and trial % 4 == 1:
+            # a duplicate column and an integral combination of two others
+            columns[-1] = dict(columns[0])
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            columns[-2] = {i: a * columns[0][i] + b * columns[1][i]
+                           for i in range(m)}
+            shapes["duplicates"] += 1
+        if m >= 2 and trial % 5 == 2:
+            zero_row = rng.randrange(m)
+            for column in columns:
+                column[zero_row] = 0
+        if n >= 2 and trial % 7 == 3:
+            columns[rng.randrange(n)] = {}
+        want = _smith_divisors(m, n, columns)
+        assert elementary_divisors(columns) == want, (m, n, columns)
+        if want and all(abs(x) != 1 for c in columns for x in c.values()):
+            shapes["residual"] += 1
+        if m == 0 or n == 0:
+            shapes["no rows or no columns"] += 1
+    assert min(shapes.values()) >= 100, shapes
 
 
 def test_solve_over_field():

@@ -17,6 +17,7 @@ from mixshuffle import (
     ConfigurationError,
     ElementaryPGroup,
     FreeAbelian,
+    Matrix,
     OrderedSet,
     PresentedAlgebra,
     Ring,
@@ -153,6 +154,59 @@ def test_cokernel_basis_greedy_words():
     info, basis = compute_cokernel_basis(FreeAbelian(["x"]), 1, 3)
     assert info["y_words"] == ["x(x)x(x)x", "x^2(x)x"]
     assert info["complement_det"] == -1
+
+
+def test_cokernel_basis_transform_complement():
+    # at weight 3, x*x = 2 x(x)x + 3 x^2: the cokernel is free of rank 1,
+    # but neither word alone completes the image to a basis
+    f = FreeAbelian(["x"])
+    Z = Ring.integers()
+    info, basis = compute_cokernel_basis(f, 3, 2)
+    assert info["free"] and info["divisors"] == [1]
+    assert info["method"] == "transform-complement"
+    assert info["y_words"] == ["c2_0"]
+    x = TensorPoly.from_word(Z, 3, f, Word((f.parse("x"),)))
+    columns = [[poly.terms.get(w, 0) for w in info["_rows"]]
+               for poly in (x * x, basis[0])]
+    det = Matrix.from_columns(Z, columns, len(columns)).det_bareiss()
+    assert det in (1, -1)
+
+
+def reference_walk(info):
+    """The greedy complement walk with one trial Smith form per word."""
+    Z = Ring.integers()
+    U, rank, rows = info["_U"], info["_rank"], info["_rows"]
+    size = info["coker_rank"]
+    words, columns = [], []
+    for j in reversed(range(len(rows))):
+        if len(words) == size:
+            break
+        trial = columns + [[U.rows[i][j] for i in range(rank, len(rows))]]
+        d, _, _ = Matrix.from_columns(Z, trial, size).smith_normal_form()
+        if len(d) == len(trial) and all(x == 1 for x in d):
+            words.append(rows[j].display(True))
+            columns = trial
+    if len(words) < size:
+        return "transform-complement", None, 1
+    det = Matrix.from_columns(Z, columns, size).det_bareiss() if size else 1
+    return "greedy-words", words, det
+
+
+def test_cokernel_walk_matches_trial_smith_walk():
+    methods = set()
+    for names, top in ((["x"], 6), (["x", "y"], 4), (["x", "y", "z"], 3)):
+        f = FreeAbelian(names)
+        for lam in (1, -1, 2, 3):
+            for degree in range(1, top + 1):
+                info, basis = compute_cokernel_basis(f, lam, degree)
+                method, words, det = reference_walk(info)
+                assert info["method"] == method, (names, lam, degree)
+                assert info["complement_det"] == det, (names, lam, degree)
+                if words is not None:
+                    assert info["y_words"] == words, (names, lam, degree)
+                assert len(basis) == info["coker_rank"]
+                methods.add(method)
+    assert methods == {"greedy-words", "transform-complement"}
 
 
 def test_nested_chain():
