@@ -71,11 +71,7 @@ class Ring:
     # canonicalization
 
     def of(self, x):
-        """Coerce x (int, Fraction, RingElement, or string) to canonical form."""
-        if isinstance(x, RingElement):
-            if x.ring != self:
-                raise ValueError("mixed-ring operand: %r into %r" % (x.ring, self))
-            return x.value
+        """Coerce x (int, Fraction, or string) to canonical form."""
         if isinstance(x, str):
             return self.parse(x)
         if isinstance(x, Fraction):
@@ -177,9 +173,6 @@ class Ring:
             return q
         return self.mul(a, self.inverse(b))
 
-    def elem(self, x):
-        return RingElement(self, self.of(x))
-
     @property
     def is_field(self):
         return self.kind in (Q, FP)
@@ -223,68 +216,6 @@ class Ring:
         if self.kind == ZP:
             return "Z/%d^%d" % (self.p, self.precision)
         return self.kind
-
-
-class RingElement:
-    """A canonical value tagged with its ring.  Mixed-ring arithmetic raises."""
-
-    __slots__ = ("ring", "value")
-
-    def __init__(self, ring, value):
-        self.ring = ring
-        self.value = ring.of(value)
-
-    def _coerce(self, other):
-        if isinstance(other, RingElement):
-            if other.ring != self.ring:
-                raise ValueError("mixed-ring arithmetic: %r vs %r" % (self.ring, other.ring))
-            return other.value
-        return self.ring.of(other)
-
-    def __add__(self, other):
-        return RingElement(self.ring, self.ring.add(self.value, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return RingElement(self.ring, self.ring.sub(self.value, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return RingElement(self.ring, self.ring.sub(self._coerce(other), self.value))
-
-    def __mul__(self, other):
-        return RingElement(self.ring, self.ring.mul(self.value, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return RingElement(self.ring, self.ring.divide(self.value, self._coerce(other)))
-
-    def __pow__(self, e):
-        return RingElement(self.ring, self.ring.pow_(self.value, e))
-
-    def __neg__(self):
-        return RingElement(self.ring, self.ring.neg(self.value))
-
-    def inverse(self):
-        return RingElement(self.ring, self.ring.inverse(self.value))
-
-    def is_unit(self):
-        return self.ring.is_unit(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, RingElement):
-            return self.ring == other.ring and self.value == other.value
-        try:
-            return self.value == self.ring.of(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring, self.value))
-
-    def __repr__(self):
-        return "%s(%s)" % (self.ring, self.value)
 
 
 # p-adic utilities
@@ -388,10 +319,6 @@ class Matrix:
     def from_columns(cls, ring, cols, nrows):
         rows = [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
         return cls(ring, rows, nrows=nrows, ncols=len(cols))
-
-    def copy(self):
-        return Matrix(self.ring, [row[:] for row in self.rows],
-                      nrows=self.nrows, ncols=self.ncols)
 
     def column(self, j):
         return [row[j] for row in self.rows]

@@ -129,9 +129,6 @@ class OrderedSemigroup:
     def compare(self, a, b):
         return self.compare_keys(a.key, b.key)
 
-    def p_power(self, a, p):
-        return a ** p
-
     def parse(self, text):
         return Element(self, self.parse_letter(text))
 

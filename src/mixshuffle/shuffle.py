@@ -7,6 +7,11 @@ way, optionally merging a pair of slots into the semigroup product of
 their letters, each merged slot contributing one factor of lambda.
 Weight zero is the plain shuffle.
 
+The coefficient algebra lives in Combination, which TensorPoly and the
+Rota-Baxter elements (a head letter before a word tail) both extend:
+coercion, sums, scaling, equality, the term order, text and JSON are
+written once, and each subclass adds only its key and its product.
+
 Two independent implementations of the product live here.  The working
 one is a dynamic program over suffix positions of the two words (three
 branches: take the head of the left word, take the head of the right
@@ -34,7 +39,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .rings import Q
+from .rings import Q, Ring
+from .semigroups import OrderedSemigroup
 from .words import Word, empty_word
 
 
@@ -416,10 +422,22 @@ def shuffle_sum(ring, lam, codec, memo, left, right, heads=False):
     return acc, dx * dy * lam.denominator ** top
 
 
-class TensorPoly:
-    """Linear combination of tensor words under the mixable shuffle."""
+class Combination:
+    """Finite linear combination of keys with coefficients in an exact
+    ring, tagged with the mixing weight and the alphabet it lives over.
+
+    This is the coefficient algebra that TensorPoly and RBElement share:
+    coercion, sums, scaling, equality, text and JSON.  A subclass names
+    its key (a word, or a head and a tail), orders keys with key_order,
+    lists terms in descending order or not, writes one key as text and
+    JSON, and defines its own product as mul_shared.  Operands of two
+    different subclasses never combine.
+    """
 
     __slots__ = ("ring", "lam", "semigroup", "terms")
+
+    # render and to_json list terms in this direction of key_order
+    descending = False
 
     def __init__(self, ring, lam, semigroup, terms=None):
         self.ring = ring
@@ -427,10 +445,10 @@ class TensorPoly:
         self.semigroup = semigroup
         clean = {}
         if terms:
-            for word, coeff in terms.items():
+            for key, coeff in terms.items():
                 c = ring.of(coeff)
                 if not ring.is_zero(c):
-                    clean[word] = c
+                    clean[key] = c
         self.terms = clean
 
     @classmethod
@@ -440,6 +458,128 @@ class TensorPoly:
         out.ring, out.lam, out.semigroup, out.terms = \
             ring, lam, semigroup, terms
         return out
+
+    def _like(self, terms):
+        return self._canonical(self.ring, self.lam, self.semigroup, terms)
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise ValueError("cannot combine %s with %s" % (
+                type(self).__name__, type(other).__name__))
+        if (self.ring != other.ring or self.lam != other.lam
+                or self.semigroup != other.semigroup):
+            raise ValueError("incompatible %s operands" % type(self).__name__)
+
+    def is_zero(self):
+        return not self.terms
+
+    def support(self):
+        """The keys with nonzero coefficient, ascending in key_order."""
+        return sorted(self.terms, key=self.key_order)
+
+    def __add__(self, other):
+        self._check(other)
+        acc = dict(self.terms)
+        R = self.ring
+        for k, c in other.terms.items():
+            _accumulate(acc, R, k, c)
+        return self._like(acc)
+
+    def __neg__(self):
+        R = self.ring
+        return self._like({k: R.neg(c) for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        R = self.ring
+        cv = R.of(c)
+        return self._like({k: x for k, v in self.terms.items()
+                           if not R.is_zero(x := R.mul(cv, v))})
+
+    def __mul__(self, other):
+        if isinstance(other, Combination):
+            return self.mul_shared(other, None)
+        return self.scale(other)
+
+    __rmul__ = scale
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.ring == other.ring
+                and self.lam == other.lam
+                and self.semigroup == other.semigroup
+                and self.terms == other.terms)
+
+    def _listed(self):
+        return sorted(self.terms, key=self.key_order,
+                      reverse=self.descending)
+
+    def render(self, ascii_mode=False):
+        if not self.terms:
+            return "0"
+        R = self.ring
+        dot = "*" if ascii_mode else "·"
+        parts = []
+        for k in self._listed():
+            c = R.format(self.terms[k])
+            body = self._key_text(k, ascii_mode)
+            if c == "1":
+                parts.append(body)
+            elif c == "-1":
+                parts.append("-" + body)
+            else:
+                parts.append(f"{c}{dot}{body}")
+        out = parts[0]
+        for p in parts[1:]:
+            out += " - " + p[1:] if p.startswith("-") else " + " + p
+        return out
+
+    def __repr__(self):
+        return self.render(ascii_mode=True)
+
+    def to_json(self):
+        R = self.ring
+        return {
+            "ring": R.to_json(),
+            "lambda": R.format(self.lam),
+            "semigroup": self.semigroup.to_json(),
+            "terms": [dict(self._key_json(k), coeff=R.format(self.terms[k]))
+                      for k in self._listed()],
+        }
+
+    @classmethod
+    def from_json(cls, data):
+        ring = Ring.from_json(data["ring"])
+        sg = OrderedSemigroup.from_json(data["semigroup"])
+        terms = {}
+        for entry in data["terms"]:
+            terms[cls._key_from_json(sg, entry)] = ring.parse(entry["coeff"])
+        return cls(ring, ring.parse(data["lambda"]), sg, terms)
+
+
+class TensorPoly(Combination):
+    """Linear combination of tensor words under the mixable shuffle."""
+
+    __slots__ = ()
+
+    descending = True
+
+    @staticmethod
+    def key_order(word):
+        return word.pro_length_key
+
+    @staticmethod
+    def _key_text(word, ascii_mode):
+        return word.display(ascii_mode)
+
+    @staticmethod
+    def _key_json(word):
+        return {"word": [l.name for l in word.letters]}
+
+    @staticmethod
+    def _key_from_json(semigroup, entry):
+        return Word(tuple(semigroup.parse(t) for t in entry["word"]))
 
     @classmethod
     def zero(cls, ring, lam, semigroup):
@@ -453,56 +593,18 @@ class TensorPoly:
     def from_word(cls, ring, lam, semigroup, word, coeff=1):
         return cls(ring, lam, semigroup, {word: ring.of(coeff)})
 
-    def _check(self, other):
-        if (self.ring != other.ring or self.lam != other.lam
-                or self.semigroup != other.semigroup):
-            raise ValueError("incompatible tensor polynomials")
-
-    def is_zero(self):
-        return not self.terms
-
     def coefficient(self, word):
         return self.terms.get(word, self.ring.zero)
-
-    def support(self):
-        return sorted(self.terms, key=lambda w: w.pro_length_key)
 
     def leading_term(self):
         """(word, coeff) at the pro-length-largest word, or None."""
         if not self.terms:
             return None
-        word = max(self.terms, key=lambda w: w.pro_length_key)
+        word = max(self.terms, key=self.key_order)
         return word, self.terms[word]
 
     def max_degree(self):
         return max((w.degree for w in self.terms), default=0)
-
-    def __add__(self, other):
-        self._check(other)
-        acc = dict(self.terms)
-        R = self.ring
-        for w, c in other.terms.items():
-            _accumulate(acc, R, w, c)
-        return TensorPoly(R, self.lam, self.semigroup, acc)
-
-    def __neg__(self):
-        R = self.ring
-        return TensorPoly(R, self.lam, self.semigroup,
-                          {w: R.neg(c) for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        R = self.ring
-        cv = R.of(c)
-        return TensorPoly(R, self.lam, self.semigroup,
-                          {w: R.mul(cv, x) for w, x in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, TensorPoly):
-            return self.scale(other)
-        return self.mul_shared(other, None)
 
     def mul_shared(self, other, memo):
         """Product reusing a caller-held shuffle memo across many calls.
@@ -516,11 +618,8 @@ class TensorPoly:
         left = [(None, codec.encode(w), c) for w, c in self.terms.items()]
         right = [(None, codec.encode(w), c) for w, c in other.terms.items()]
         acc, den = shuffle_sum(R, self.lam, codec, memo, left, right)
-        return TensorPoly._canonical(
-            R, self.lam, self.semigroup,
-            ring_values(R, acc.get(None, {}), den, codec.decode))
-
-    __rmul__ = scale
+        return self._like(ring_values(R, acc.get(None, {}), den,
+                                      codec.decode))
 
     def shuffle_power(self, k):
         """k-th power, expanded multinomially into joint shuffles."""
@@ -530,8 +629,7 @@ class TensorPoly:
         if not self.terms:
             return TensorPoly.zero(R, self.lam, self.semigroup)
         codec = letter_codec(self.semigroup)
-        items = sorted(self.terms.items(),
-                       key=lambda it: it[0].pro_length_key)
+        items = [(w, self.terms[w]) for w in self.support()]
         words = [codec.encode(w) for w, _ in items]
         nums, den = _integral([c for _, c in items])
         merge = not R.is_zero(self.lam)
@@ -554,66 +652,8 @@ class TensorPoly:
             for t, c in _multi_shuffle(factors, codec, merge, mod,
                                        memo).items():
                 acc[t] = get(t, 0) + w[size - len(t)] * c
-        return TensorPoly._canonical(
-            R, self.lam, self.semigroup,
-            ring_values(R, acc, den ** k * self.lam.denominator ** top,
-                        codec.decode))
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorPoly) and self.ring == other.ring
-                and self.lam == other.lam
-                and self.semigroup == other.semigroup
-                and self.terms == other.terms)
-
-    def render(self, ascii_mode=False):
-        if not self.terms:
-            return "0"
-        R = self.ring
-        dot = "*" if ascii_mode else "·"
-        parts = []
-        for w in sorted(self.terms, key=lambda x: x.pro_length_key,
-                        reverse=True):
-            c = R.format(self.terms[w])
-            body = w.display(ascii_mode)
-            if c == "1":
-                parts.append(body)
-            elif c == "-1":
-                parts.append("-" + body)
-            else:
-                parts.append(f"{c}{dot}{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
-
-    def __repr__(self):
-        return self.render(ascii_mode=True)
-
-    def to_json(self):
-        # terms sorted descending, leading term first
-        return {
-            "ring": self.ring.to_json(),
-            "lambda": self.ring.format(self.lam),
-            "semigroup": self.semigroup.to_json(),
-            "terms": [
-                {"word": [l.name for l in w.letters],
-                 "coeff": self.ring.format(self.terms[w])}
-                for w in reversed(self.support())
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        from .rings import Ring
-        from .semigroups import OrderedSemigroup
-        ring = Ring.from_json(data["ring"])
-        sg = OrderedSemigroup.from_json(data["semigroup"])
-        lam = ring.parse(data["lambda"])
-        terms = {}
-        for entry in data["terms"]:
-            word = Word(tuple(sg.parse(t) for t in entry["word"]))
-            terms[word] = ring.parse(entry["coeff"])
-        return cls(ring, lam, sg, terms)
+        return self._like(ring_values(
+            R, acc, den ** k * self.lam.denominator ** top, codec.decode))
 
 
 def _compositions(total, parts):

@@ -368,32 +368,13 @@ def check_relations(algebra, max_length=None):
 # linear algebra drivers
 
 
-def _tensor_key_order(word):
-    return word.pro_length_key
-
-
-def _rb_key_order(semigroup):
-    def order(key):
-        head, tail = key
-        return (tail.pro_length_key, semigroup.sort_key_of(head.key))
-    return order
-
-
-def _generic_key_order(key):
-    if isinstance(key, Word):
-        return key.pro_length_key
-    head, tail = key
-    return (tail.pro_length_key, head.semigroup.sort_key_of(head.key))
-
-
 def _combo_text(combo, ring):
     parts = ["%s*%s" % (ring.format(c), name)
              for name, c in sorted(combo.items(), key=lambda kv: str(kv[0]))]
     return " + ".join(parts) if parts else "0"
 
 
-def _filtered_cells(report, field, key_order, rows_by_degree, cols_by_degree,
-                    to_field):
+def _filtered_cells(report, field, key_order, rows_by_degree, cols_by_degree):
     """Cumulative full-rank certification over a field.
 
     Columns are inserted in ascending degree; because merges never raise
@@ -411,14 +392,13 @@ def _filtered_cells(report, field, key_order, rows_by_degree, cols_by_degree,
         increment = 0
         note = None
         for name, vec in cols:
-            fvec = to_field(vec)
-            if any(k not in allowed for k in fvec):
+            if any(k not in allowed for k in vec):
                 note = "image of %s leaves the window" % name
                 continue
-            if elim.insert(fvec, tag=name):
+            if elim.insert(vec, tag=name):
                 increment += 1
             elif report.counterexample is None:
-                combo = elim.express(to_field(vec))
+                combo = elim.express(vec)
                 report.counterexample = "%s = %s" % (
                     name, _combo_text(combo or {}, field))
         ok = (dim == len(cols) == increment) and note is None
@@ -508,12 +488,13 @@ def check_independence(algebra, degree):
     Z/p^N it is independence after reduction mod p.
     """
     ring = algebra.ring
+    key_order = type(algebra.unit).key_order
     cols = algebra.monomials(degree)
     universe = {k for _, img in cols for k in img.terms}
     note = None
     rank = 0
     if ring.is_field:
-        elim = SparseEliminator(ring, _generic_key_order, track=True)
+        elim = SparseEliminator(ring, key_order, track=True)
         for name, img in cols:
             if elim.insert(dict(img.terms), tag=name):
                 rank += 1
@@ -529,12 +510,8 @@ def check_independence(algebra, degree):
             note = "not a direct summand: elementary divisors %s" % (
                 divisors,)
     else:
-        fp = Ring.prime_field(ring.p)
-        elim = SparseEliminator(fp, _generic_key_order)
-        reduce_vec = _mod_p_vec(ring.p)
-        for _, img in cols:
-            if elim.insert(reduce_vec(img.terms)):
-                rank += 1
+        rank = _rank_mod_p(ring.p, key_order,
+                           [img.terms for _, img in cols])
         ok = rank == len(cols)
         if not ok:
             note = "rank %d mod %d" % (rank, ring.p)
@@ -576,12 +553,8 @@ def check_spanning(algebra, degree):
             if ring.is_field:
                 rank = matrix.row_reduce()[0]
             else:
-                elim = SparseEliminator(Ring.prime_field(ring.p),
-                                        _generic_key_order)
-                reduce_vec = _mod_p_vec(ring.p)
-                for _, img in cols:
-                    if elim.insert(reduce_vec(img.terms)):
-                        rank += 1
+                rank = _rank_mod_p(ring.p, TensorPoly.key_order,
+                                   [img.terms for _, img in cols])
         for w in rows:
             target = [ring.one if u == w else ring.zero for u in rows]
             if solve(target) is None:
@@ -610,19 +583,12 @@ def _column_buckets(algebra, degree_bound):
             for n, bucket in buckets.items()}
 
 
-def _identity_vec(vec):
-    return dict(vec)
-
-
-def _mod_p_vec(p):
-    def reduce_vec(vec):
-        out = {}
-        for k, c in vec.items():
-            r = int(c) % p
-            if r:
-                out[k] = r
-        return out
-    return reduce_vec
+def _rank_mod_p(p, key_order, vectors):
+    """Rank over F_p of integer vectors reduced mod p."""
+    elim = SparseEliminator(Ring.prime_field(p), key_order)
+    for vec in vectors:
+        elim.insert({k: r for k, c in vec.items() if (r := int(c) % p)})
+    return elim.rank
 
 
 def _tail_scalar(ring, lam, p, length):
@@ -662,8 +628,8 @@ def verify_radford_hoffman(semigroup, weight, degree_bound,
                                TensorPoly.unit(ring, lam, semigroup),
                                length_bound)
     rows = _tensor_rows(semigroup, degree_bound, length_bound)
-    _filtered_cells(report, ring, _tensor_key_order, rows,
-                    _column_buckets(algebra, degree_bound), _identity_vec)
+    _filtered_cells(report, ring, TensorPoly.key_order, rows,
+                    _column_buckets(algebra, degree_bound))
     if lam != 0:
         report.checks.append(_rescaling_check(ring, lam, semigroup,
                                               min(3, degree_bound),
@@ -712,8 +678,8 @@ def verify_fp_weight0(semigroup, p, degree_bound, length_bound=None):
                                TensorPoly.unit(ring, lam, semigroup),
                                length_bound)
     rows = _tensor_rows(semigroup, degree_bound, length_bound)
-    _filtered_cells(report, ring, _tensor_key_order, rows,
-                    _column_buckets(algebra, degree_bound), _identity_vec)
+    _filtered_cells(report, ring, TensorPoly.key_order, rows,
+                    _column_buckets(algebra, degree_bound))
     report.checks.extend(check_relations(algebra, _relation_length_cap(p)))
     return report
 
@@ -759,8 +725,8 @@ def _unit_power_family_check(semigroup, family, p, degree_bound,
     while q <= limit:
         expected.append(Word((ident,) * q))
         q *= p
-    ok = sorted(family, key=_tensor_key_order) == \
-        sorted(expected, key=_tensor_key_order)
+    ok = sorted(family, key=TensorPoly.key_order) == \
+        sorted(expected, key=TensorPoly.key_order)
     return CheckRecord("fixed tensor Lyndon words are identity powers", ok,
                        "count %d" % len(expected))
 
@@ -847,8 +813,8 @@ def verify_fp_nonzero(semigroup, p, weight, degree_bound, length_bound=None):
                                TensorPoly.unit(ring, lam, semigroup),
                                length_bound)
     rows = _tensor_rows(semigroup, degree_bound, length_bound)
-    _filtered_cells(report, ring, _tensor_key_order, rows,
-                    _column_buckets(algebra, degree_bound), _identity_vec)
+    _filtered_cells(report, ring, TensorPoly.key_order, rows,
+                    _column_buckets(algebra, degree_bound))
     report.checks.extend(check_relations(algebra, _relation_length_cap(p)))
     return report
 
@@ -892,17 +858,12 @@ def _zp_basis_cells(semigroup, p, precision, weight, degree_bound):
     algebra = PresentedAlgebra(ring, lam, semigroup, gens,
                                TensorPoly.unit(ring, lam, semigroup))
     cells = []
-    fp = Ring.prime_field(p)
     buckets = _column_buckets(algebra, degree_bound)
     rows = _tensor_rows(semigroup, degree_bound, None)
-    reduce_vec = _mod_p_vec(p)
     for n in range(degree_bound + 1):
         keys = rows[n]
-        elim = SparseEliminator(fp, _tensor_key_order)
-        rank = 0
-        for _, vec in buckets.get(n, []):
-            if elim.insert(reduce_vec(vec)):
-                rank += 1
+        rank = _rank_mod_p(p, TensorPoly.key_order,
+                           [vec for _, vec in buckets.get(n, [])])
         cols = len(buckets.get(n, []))
         ok = len(keys) == cols == rank
         cells.append(CellRecord(n, len(keys), cols, rank, ok,
@@ -991,7 +952,9 @@ def compute_cokernel_basis(semigroup, weight, degree):
                     column[index[w]] = c
                 columns.append(column)
     if columns:
-        mu = Matrix.from_columns(ring, columns, m)
+        # the entries are canonical ints already: no per-entry coercion
+        mu = Matrix._raw(ring, [list(row) for row in zip(*columns)], m,
+                         len(columns))
         divisors, U, _ = mu.smith_normal_form()
     else:
         divisors, U = [], Matrix.identity(ring, m)
@@ -1228,8 +1191,8 @@ def _verify_rbl(alphabet, weight, degree_bound, length_bound):
         return list(graded_basis(monoid, d, length_bound))
 
     rows = _rb_rows(monoid, tails, degree_bound)
-    _filtered_cells(report, ring, _rb_key_order(monoid), rows,
-                    _column_buckets(algebra, degree_bound), _identity_vec)
+    _filtered_cells(report, ring, RBElement.key_order, rows,
+                    _column_buckets(algebra, degree_bound))
     return report
 
 
@@ -1255,16 +1218,11 @@ def _verify_rbazp(alphabet, p, precision, weight, degree_bound):
         return [_lift_word(monoid, t) for t in graded_basis(free, d)]
 
     rows = _rb_rows(monoid, tails, degree_bound)
-    fp = Ring.prime_field(p)
-    reduce_vec = _mod_p_vec(p)
     buckets = _column_buckets(algebra, degree_bound)
     for n in range(degree_bound + 1):
         keys = rows[n]
-        elim = SparseEliminator(fp, _rb_key_order(monoid))
-        rank = 0
-        for _, vec in buckets.get(n, []):
-            if elim.insert(reduce_vec(vec)):
-                rank += 1
+        rank = _rank_mod_p(p, RBElement.key_order,
+                           [vec for _, vec in buckets.get(n, [])])
         cols = len(buckets.get(n, []))
         ok = cols == rank
         report.cells.append(CellRecord(
@@ -1487,8 +1445,7 @@ def _rbafp_case(case, alphabet, p, weight, degree_bound, length_bound):
         return list(graded_basis(semigroup, d, length_bound))
 
     rows = _rb_rows(semigroup, tails, degree_bound)
-    _filtered_cells(report, ring, _rb_key_order(semigroup), rows, cols,
-                    _identity_vec)
+    _filtered_cells(report, ring, RBElement.key_order, rows, cols)
     report.checks.extend(check_relations(relation_algebra,
                                          _relation_length_cap(p)))
     return report
@@ -1554,8 +1511,8 @@ def verify_semigroup_props(semigroup, p, degree_bound, length_bound=None):
                    if all(l in fixed_letters for l in w.letters)]
     report.checks.append(CheckRecord(
         "fixed Lyndon words are those over fixed letters",
-        sorted(sets["l1"], key=_tensor_key_order) ==
-        sorted(expected_l1, key=_tensor_key_order)))
+        sorted(sets["l1"], key=TensorPoly.key_order) ==
+        sorted(expected_l1, key=TensorPoly.key_order)))
     if semigroup.kind == "unitarize" \
             and semigroup.inner.kind == "free_abelian":
         report.checks.append(_unit_power_family_check(

@@ -81,15 +81,15 @@ def test_ring_json_round_trip():
         assert Ring.from_json(R.to_json()) == R
 
 
-def test_ring_element_wrapper():
+def test_ring_arithmetic_on_raw_values():
     R = Ring.rationals()
-    x = R.elem(Fraction(1, 3))
-    y = R.elem(2)
-    assert (x + y).value == Fraction(7, 3)
-    assert (x * 3).value == 1
-    assert (-x).value == Fraction(-1, 3)
-    assert (y ** 5).value == 32
-    assert (y / x).value == 6
+    x = R.of(Fraction(1, 3))
+    y = R.of(2)
+    assert R.add(x, y) == Fraction(7, 3)
+    assert R.mul(x, R.of(3)) == 1
+    assert R.neg(x) == Fraction(-1, 3)
+    assert R.pow_(y, 5) == 32
+    assert R.divide(y, x) == 6
 
 
 # number-theoretic helpers

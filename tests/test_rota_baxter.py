@@ -14,6 +14,7 @@ from mixshuffle import (
     OrderedSet,
     RBElement,
     Ring,
+    TensorPoly,
     Unitarized,
     Word,
     alphabet_generators,
@@ -142,6 +143,25 @@ def test_mixed_weight_rejected():
     m = monoid("x")
     with pytest.raises(ValueError):
         elem(Q, 0, m, "x", []) * elem(Q, 1, m, "x", [])
+
+
+def test_tensor_polynomials_and_elements_do_not_mix():
+    # same ring, weight and alphabet: only the class differs
+    for R in (Ring.rationals(), Ring.integers(), Ring.prime_field(3)):
+        m = monoid("x")
+        r = elem(R, 1, m, "x", ["x"])
+        t = TensorPoly.from_word(R, 1, m, Word((m.parse("x"),)))
+        for left, right in ((t, r), (r, t)):
+            with pytest.raises(ValueError):
+                left + right
+            with pytest.raises(ValueError):
+                left - right
+            with pytest.raises(ValueError):
+                left * right
+            with pytest.raises(ValueError):
+                left.mul_shared(right, {})
+            assert left != right
+        assert repr(t + t) == "2*x" and repr(r + r) == "2*x(x)x"
 
 
 def test_shared_memo_is_tied_to_ring_weight_and_alphabet():
