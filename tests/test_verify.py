@@ -23,6 +23,7 @@ from mixshuffle import (
     Ring,
     TensorPoly,
     Word,
+    GeneratorSymbol,
     check_independence,
     check_spanning,
     compute_cokernel_basis,
@@ -36,8 +37,10 @@ from mixshuffle import (
     verify_semigroup_props,
     verify_z_polynomial,
     verify_zp,
+    word_poly,
     word_symbol,
 )
+from mixshuffle import verify as verify_module
 
 
 def cells_of(report):
@@ -324,8 +327,8 @@ def test_zero_multiplication_needs_weight_zero():
 # the checks are not vacuous: wrong claims fail with a counterexample
 
 
-def lyndon_algebra(ring, lam, degree_bound):
-    f = FreeAbelian(["x"])
+def lyndon_algebra(ring, lam, degree_bound, names=("x",)):
+    f = FreeAbelian(list(names))
     gens = [word_symbol(ring, lam, f, w)
             for w in enumerate_lyndon(f, degree_bound)]
     return PresentedAlgebra(ring, lam, f, gens,
@@ -389,3 +392,248 @@ def test_failing_report_has_exit_code_one():
     assert not report.passed
     assert report.exit_code == 1
     assert "FAIL" in report.render(ascii_mode=True)
+
+
+# failure output: every way a certification cell can fail, with its note
+
+
+def failing_cells(report):
+    return [(c.degree, c.dimension, c.monomials, c.rank, c.ok, c.note)
+            for c in report.cells if not c.ok]
+
+
+def cell_of(cell):
+    return (cell.degree, cell.dimension, cell.monomials, cell.rank, cell.ok,
+            cell.note)
+
+
+def patch_cokernel(monkeypatch, degree, lift):
+    """Replace the lifted complement of one degree by lift(semigroup,
+    weight) -> (names, polynomials)."""
+    real = verify_module.compute_cokernel_basis
+
+    def patched(semigroup, weight, n):
+        diag, lifted = real(semigroup, weight, n)
+        if n == degree:
+            names, lifted = lift(semigroup, weight)
+            diag = dict(diag, y_words=names)
+        return diag, lifted
+
+    monkeypatch.setattr(verify_module, "compute_cokernel_basis", patched)
+
+
+def patch_tensor_lyndon(monkeypatch, pick):
+    """Replace the tensor Lyndon family by pick(generating sets)."""
+    real = verify_module.standard_generating_sets
+
+    def patched(*args):
+        sets = dict(real(*args))
+        sets["tel"] = pick(sets)
+        return sets
+
+    monkeypatch.setattr(verify_module, "standard_generating_sets", patched)
+
+
+def test_field_cells_fail_on_a_dependent_family(monkeypatch):
+    f = FreeAbelian(["x"])
+    x = f.parse("x")
+    real = verify_module.enumerate_lyndon
+    monkeypatch.setattr(verify_module, "enumerate_lyndon",
+                        lambda *args: real(*args) + [Word((x, x))])
+    r = verify_radford_hoffman(f, 1, 3)
+    assert failing_cells(r) == [
+        (2, 2, 3, 2, False, "dimension 2, monomials 3, new rank 2"),
+        (3, 4, 5, 4, False, "dimension 4, monomials 5, new rank 4")]
+    assert r.counterexample == "x^2 = 2*x(x)x + 1*x^2"
+
+
+def test_field_cells_fail_when_an_image_leaves_the_window(monkeypatch):
+    real = verify_module._tensor_rows
+
+    def letters_only_in_degree_2(semigroup, degree_bound, length_bound):
+        rows = real(semigroup, degree_bound, length_bound)
+        rows[2] = [w for w in rows[2] if w.length == 1]
+        return rows
+
+    monkeypatch.setattr(verify_module, "_tensor_rows",
+                        letters_only_in_degree_2)
+    r = verify_radford_hoffman(FreeAbelian(["x"]), 1, 3)
+    assert failing_cells(r) == [
+        (2, 1, 2, 1, False, "image of x^2 leaves the window")]
+    assert r.counterexample is None
+
+
+def test_z_cells_fail_on_a_missing_generator(monkeypatch):
+    patch_cokernel(monkeypatch, 2, lambda s, lam: ([], []))
+    r = verify_z_polynomial(FreeAbelian(["x"]), 1, 3)
+    assert failing_cells(r) == [(2, 2, 1, 0, False, "non-square system"),
+                                (3, 4, 3, 0, False, "non-square system")]
+    assert r.counterexample is None
+
+
+def test_z_cells_fail_when_an_image_leaves_the_window(monkeypatch):
+    def lift(s, lam):
+        x = s.parse("x")
+        poly = word_poly(Ring.integers(), lam, s, (x, x)) \
+            + word_poly(Ring.integers(), lam, s, (x,))
+        return ["x(x)x"], [poly]
+
+    patch_cokernel(monkeypatch, 2, lift)
+    r = verify_z_polynomial(FreeAbelian(["x"]), 1, 3)
+    assert failing_cells(r) == [
+        (2, 2, 2, 0, False, "image of x(x)x leaves the window"),
+        (3, 4, 4, 0, False, "image of x*x(x)x leaves the window")]
+    assert r.counterexample is None
+
+
+def test_z_cells_fail_on_a_non_unit_divisor(monkeypatch):
+    # the Lyndon word x^2 in place of x(x)x: x*x = 2 x(x)x + x^2
+    def lift(s, lam):
+        x = s.parse("x")
+        return ["x^2"], [word_poly(Ring.integers(), lam, s, (x ** 2,))]
+
+    patch_cokernel(monkeypatch, 2, lift)
+    r = verify_z_polynomial(FreeAbelian(["x"]), 1, 3)
+    assert failing_cells(r) == [
+        (2, 2, 2, 2, False, "elementary divisors [2]"),
+        (3, 4, 4, 4, False, "elementary divisors [2]")]
+    assert r.counterexample is None
+
+
+def test_z_cells_fail_on_a_rank_deficit(monkeypatch):
+    def lift(s, lam):
+        x = word_poly(Ring.integers(), lam, s, (s.parse("x"),))
+        return ["xx"], [x * x]
+
+    patch_cokernel(monkeypatch, 2, lift)
+    r = verify_z_polynomial(FreeAbelian(["x"]), 1, 3)
+    assert failing_cells(r) == [(2, 2, 2, 1, False, "rank 1 of 2"),
+                                (3, 4, 4, 3, False, "rank 3 of 4")]
+    assert r.counterexample is None
+
+
+def test_zp_cells_fail_on_lyndon_words(monkeypatch):
+    patch_tensor_lyndon(monkeypatch, lambda sets: sets["lyn"])
+    r = verify_zp(FreeAbelian(["x"]), 2, 4, 1, 3)
+    assert failing_cells(r) == [
+        (2, 2, 2, 1, False, "determinant not a unit"),
+        (3, 4, 4, 3, False, "determinant not a unit")]
+    assert r.counterexample is None
+
+
+def test_zp_cells_fail_on_a_missing_generator(monkeypatch):
+    patch_tensor_lyndon(monkeypatch, lambda sets: [
+        w for w in sets["tel"] if w.degree != 2])
+    r = verify_zp(FreeAbelian(["x"]), 2, 4, 1, 3)
+    assert failing_cells(r) == [
+        (2, 2, 1, 1, False, "determinant not a unit"),
+        (3, 4, 3, 3, False, "determinant not a unit")]
+    assert r.counterexample is None
+
+
+def test_rbazp_cells_fail_on_lyndon_words(monkeypatch):
+    patch_tensor_lyndon(monkeypatch, lambda sets: sets["lyn"])
+    r = verify_rb_structure("rbazp", ("x",), 1, 2, 4, 3, 3)
+    assert failing_cells(r) == [
+        (2, 4, 4, 3, False, "dependent monomials mod 2"),
+        (3, 8, 8, 6, False, "dependent monomials mod 2")]
+    assert r.counterexample is None
+
+
+def test_nested_cells_fail_on_a_scaled_complement(monkeypatch):
+    real = verify_module.compute_cokernel_basis
+
+    def patched(semigroup, weight, n):
+        diag, lifted = real(semigroup, weight, n)
+        if len(semigroup.generators) == 1 and n == 2:
+            lifted = [poly.scale(2) for poly in lifted]
+        return diag, lifted
+
+    monkeypatch.setattr(verify_module, "compute_cokernel_basis", patched)
+    r = verify_nested_summand([FreeAbelian(["x"]), FreeAbelian(["x", "y"])],
+                              1, 3)
+    assert failing_cells(r) == [(2, 4, 1, 1, False, "divisors [2]")]
+    assert r.counterexample is None
+
+
+def test_independence_failure_notes():
+    assert cell_of(check_independence(
+        lyndon_algebra(Ring.integers(), 1, 6), 2)) == (
+        2, 2, 2, 2, False, "not a direct summand: elementary divisors [1, 2]")
+    assert cell_of(check_independence(
+        lyndon_algebra(Ring.truncated_padic(2, 4), 1, 6), 2)) == (
+        2, 2, 2, 1, False, "rank 1 mod 2")
+    assert cell_of(check_independence(
+        lyndon_algebra(Ring.prime_field(3), 1, 6), 3)) == (
+        3, 3, 4, 3, False, "x^3 = 1*x^3")
+
+
+def test_spanning_fails_when_an_image_leaves_the_window():
+    # a generator that claims length 0 gets past the length budget
+    Q = Ring.rationals()
+    f = FreeAbelian(["x"])
+    x = f.parse("x")
+    bad = GeneratorSymbol("bad", TensorPoly.from_word(Q, 1, f, Word((x, x))),
+                          2, 0)
+    alg = PresentedAlgebra(Q, 1, f, [word_symbol(Q, 1, f, Word((x,))), bad],
+                           TensorPoly.unit(Q, 1, f), length_bound=1)
+    assert cell_of(check_spanning(alg, 2)) == (
+        2, 1, 1, 0, False, "image of bad leaves the window")
+
+
+def reference_spanning(algebra, degree):
+    """The spanning check that solves for every word, passing or not."""
+    ring = algebra.ring
+    rows = list(mx.graded_basis(algebra.semigroup, degree,
+                                algebra.length_bound))
+    index = {w: i for i, w in enumerate(rows)}
+    cols = algebra.monomials(degree)
+    vectors = []
+    for name, img in cols:
+        column = [ring.zero] * len(rows)
+        for w, c in img.terms.items():
+            if w not in index:
+                return False, 0, "image of %s leaves the window" % name
+            column[index[w]] = c
+        vectors.append(column)
+    matrix = Matrix.from_columns(ring, vectors, len(rows))
+    if ring.kind == "Z":
+        divisors = matrix.smith_normal_form()[0]
+        rank = len(divisors)
+    elif ring.is_field:
+        rank = matrix.row_reduce()[0]
+    else:
+        reduced = Matrix.from_columns(
+            Ring.prime_field(ring.p),
+            [[c % ring.p for c in column] for column in vectors], len(rows))
+        rank = reduced.row_reduce()[0]
+    for w in rows:
+        target = [ring.one if u == w else ring.zero for u in rows]
+        if matrix.solve(target) is None:
+            return False, rank, "word %s is not reachable" % w.display(True)
+    return True, rank, None
+
+
+SPANNING_RINGS = (Ring.rationals(), Ring.prime_field(2), Ring.prime_field(3),
+                  Ring.integers(), Ring.truncated_padic(2, 4),
+                  Ring.truncated_padic(3, 4))
+
+
+@pytest.mark.parametrize("names", [("x",), ("x", "y")])
+@pytest.mark.parametrize("ring", SPANNING_RINGS, ids=repr)
+def test_spanning_matches_solving_every_word(names, ring):
+    first_failure = {}
+    for lam in (0, 1, 2):
+        alg = lyndon_algebra(ring, lam, 4, names)
+        for degree in range(5):
+            cell = check_spanning(alg, degree)
+            got = (cell.ok, cell.rank, cell.note)
+            assert got == reference_spanning(alg, degree), (lam, degree)
+            if not cell.ok:
+                first_failure.setdefault(lam, (degree, cell.note))
+    if ring.kind == "Zp":
+        # Lyndon words span mod p^N only below degree p
+        word = "(x)".join(["x"] * ring.p)
+        assert first_failure == {
+            lam: (ring.p, "word %s is not reachable" % word)
+            for lam in (0, 1, 2)}
