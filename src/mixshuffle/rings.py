@@ -10,7 +10,8 @@ The linear algebra is exact as well: fraction-free determinants, row
 reduction over the two fields, Smith normal form over the integers
 (elementary divisors alone by unit-pivot sparse elimination, with the
 dense form only on what is left), and linear solving over every ring
-including Z/p^N (where elimination has to respect p-valuations).
+including Z/p^N (where elimination has to respect p-valuations); over Z
+one Smith factorization serves any number of right-hand sides.
 """
 
 from fractions import Fraction
@@ -311,11 +312,6 @@ class Matrix:
                    nrows=n, ncols=n)
 
     @classmethod
-    def zero(cls, ring, m, n):
-        z = ring.zero
-        return cls(ring, [[z] * n for _ in range(m)], nrows=m, ncols=n)
-
-    @classmethod
     def from_columns(cls, ring, cols, nrows):
         rows = [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
         return cls(ring, rows, nrows=nrows, ncols=len(cols))
@@ -565,9 +561,9 @@ class Matrix:
         """One solution x of self * x = b, or None when none exists.
 
         Over Q and Fp this is elimination; over Z it goes through the Smith
-        normal form; over Z/p^N it lifts to an integer system solved at
-        modulus p^N, where a diagonal equation d*y = c is solvable exactly
-        when p^min(val(d), N) divides c.
+        normal form (_ZSolver); over Z/p^N it lifts to an integer system
+        solved at modulus p^N, where a diagonal equation d*y = c is
+        solvable exactly when p^min(val(d), N) divides c.
         """
         R = self.ring
         if len(b) != self.nrows:
@@ -576,7 +572,7 @@ class Matrix:
         if R.is_field:
             return self._solve_field(b)
         if R.kind == Z:
-            return self._solve_integer(b)
+            return _ZSolver(self).solve(b)
         return self._solve_truncated(b)
 
     def _solve_field(self, b):
@@ -591,22 +587,6 @@ class Matrix:
         for i, col in enumerate(pivots):
             x[col] = rref[i][n]
         return x
-
-    def _solve_integer(self, b):
-        R = self.ring
-        D, U, V = self.smith_normal_form()
-        c = U.apply_vector(b)
-        n = self.ncols
-        y = [0] * n
-        for i in range(self.nrows):
-            if i < len(D):
-                q, r = divmod(c[i], D[i])
-                if r != 0:
-                    return None
-                y[i] = q
-            elif c[i] != 0:
-                return None
-        return V.apply_vector(y)
 
     def _solve_truncated(self, b):
         R = self.ring
@@ -633,6 +613,29 @@ class Matrix:
                 return None
         x = V.apply_vector(y)
         return [R.of(xi) for xi in x]
+
+
+class _ZSolver:
+    """Solve A*x = b over Z for many b from one Smith normal form of A."""
+
+    def __init__(self, matrix):
+        self.D, self.U, self.V = matrix.smith_normal_form()
+        self.nrows = matrix.nrows
+        self.ncols = matrix.ncols
+
+    def solve(self, b):
+        """One integer solution x, or None when none exists."""
+        c = self.U.apply_vector(b)
+        y = [0] * self.ncols
+        for i in range(self.nrows):
+            if i < len(self.D):
+                q, r = divmod(c[i], self.D[i])
+                if r != 0:
+                    return None
+                y[i] = q
+            elif c[i] != 0:
+                return None
+        return self.V.apply_vector(y)
 
 
 def elementary_divisors(columns):

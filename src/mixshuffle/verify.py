@@ -12,8 +12,16 @@ algebra.  What "comparison" means depends on the coefficient ring:
 * over Z a degree slice must give a square image matrix whose elementary
   divisors are all 1, which pins a Z-module basis: every word is then an
   integral combination of the monomials;
-* over Z/p^N independence is full column rank after reduction mod p, so a
-  square system has unit determinant and stays a basis at any precision.
+* over Z/p^N ranks are taken after reduction mod p.  By Nakayama's lemma
+  the images span exactly when their reductions do, and they are a basis
+  of a direct summand exactly when their reductions are independent, so a
+  square system of full rank mod p has unit determinant and stays a basis
+  at any precision.
+
+One helper computes the rank of a cell for every ring (and over Z its
+elementary divisors); the spanning check reads its verdict off that rank
+and solves for single words only when a cell fails, to name the first
+word out of reach.
 
 Reports carry one record per degree plus named side checks (generator
 relations, cardinality identities, cokernel diagnoses) and serialize to
@@ -23,9 +31,10 @@ reproducible.
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
-from .rings import Ring, Matrix, SparseEliminator, _is_prime, \
+from .rings import Ring, Matrix, SparseEliminator, _ZSolver, _is_prime, \
     elementary_divisors
 from .semigroups import Element, Unitarized, FreeAbelian, ProductSemigroup, \
     ElementaryPGroup, FiniteTableSemigroup, cyclic_group_table
@@ -215,6 +224,10 @@ def word_symbol(ring, lam, semigroup, word, cap=None, relation=None):
                            word.length, cap, relation)
 
 
+# a generator name that needs no brackets in a monomial name
+_ATOMIC_NAME = re.compile(r"[^\W\d]\w*|\[[^\[\]]*\]")
+
+
 class PresentedAlgebra:
     """Generators with exponent caps, evaluated to the ambient algebra.
 
@@ -264,13 +277,21 @@ class PresentedAlgebra:
 
     def monomials_by_degree(self, degree_bound):
         """All admissible monomials with total symbol degree <= the bound,
-        bucketed by that degree, each as (name, image)."""
+        bucketed by that degree, each as (name, image).
+
+        A name joins generator powers with "*", as g or g^e; a generator
+        name that is neither a bare identifier nor one bracket group is
+        bracketed, so that the square of x and a generator named x^2 get
+        different names.
+        """
         cached = self._buckets.get(degree_bound)
         if cached is not None:
             return cached
         buckets = {n: [] for n in range(degree_bound + 1)}
         gens = self.generators
         len_bound = self.length_bound
+        labels = [g.name if _ATOMIC_NAME.fullmatch(g.name)
+                  else "[%s]" % g.name for g in gens]
 
         def fits(g, e, deg_used, len_used):
             return ((g.cap is None or e <= g.cap)
@@ -308,7 +329,7 @@ class PresentedAlgebra:
             cur = poly
             while fits(g, e, deg_used, len_used):
                 cur = self._mul(cur, g.image)
-                label = g.name if e == 1 else "%s^%d" % (g.name, e)
+                label = labels[i] if e == 1 else "%s^%d" % (labels[i], e)
                 children.append((i + 1, deg_used + e * g.degree,
                                  len_used + e * g.lead_length,
                                  parts + (label,), cur))
@@ -368,10 +389,47 @@ def check_relations(algebra, max_length=None):
 # linear algebra drivers
 
 
-def _combo_text(combo, ring):
-    parts = ["%s*%s" % (ring.format(c), name)
-             for name, c in sorted(combo.items(), key=lambda kv: str(kv[0]))]
-    return " + ".join(parts) if parts else "0"
+def _window_check(window, cols):
+    """The columns whose keys all lie in the window, and a note naming the
+    first column that leaves it (None when none does)."""
+    inside = []
+    note = None
+    for name, vec in cols:
+        if window.issuperset(vec):
+            inside.append((name, vec))
+        elif note is None:
+            note = "image of %s leaves the window" % name
+    return inside, note
+
+
+def _cell_rank(ring, key_order, vectors):
+    """Rank of the matrix with these sparse columns, and over Z its nonzero
+    elementary divisors (None over the other rings).
+
+    Over Z/p^N the rank is taken after reduction mod p, which by
+    Nakayama's lemma decides both spanning and independence over Z/p^N at
+    every precision N.
+    """
+    if ring.kind == "Z":
+        divisors = elementary_divisors(vectors)
+        return len(divisors), divisors
+    field = ring
+    if not ring.is_field:
+        field = Ring.prime_field(ring.p)
+        vectors = [{k: r for k, c in vec.items() if (r := c % ring.p)}
+                   for vec in vectors]
+    elim = SparseEliminator(field, key_order)
+    for vec in vectors:
+        elim.insert(vec)
+    return elim.rank, None
+
+
+def _dependency(elim, name, vec):
+    """'name = combination' for a column in the span of the tracked ones."""
+    combo = elim.express(vec) or {}
+    parts = ["%s*%s" % (elim.ring.format(c), tag)
+             for tag, c in sorted(combo.items(), key=lambda kv: str(kv[0]))]
+    return "%s = %s" % (name, " + ".join(parts) or "0")
 
 
 def _filtered_cells(report, field, key_order, rows_by_degree, cols_by_degree):
@@ -382,25 +440,20 @@ def _filtered_cells(report, field, key_order, rows_by_degree, cols_by_degree):
     whole window even when individual images straddle degrees.
     """
     elim = SparseEliminator(field, key_order, track=True)
-    allowed = set()
+    window = set()
     for keys in rows_by_degree.values():
-        allowed.update(keys)
+        window.update(keys)
     degrees = sorted(set(rows_by_degree) | set(cols_by_degree))
     for n in degrees:
         dim = len(rows_by_degree.get(n, ()))
         cols = cols_by_degree.get(n, [])
+        inside, note = _window_check(window, cols)
         increment = 0
-        note = None
-        for name, vec in cols:
-            if any(k not in allowed for k in vec):
-                note = "image of %s leaves the window" % name
-                continue
+        for name, vec in inside:
             if elim.insert(vec, tag=name):
                 increment += 1
             elif report.counterexample is None:
-                combo = elim.express(vec)
-                report.counterexample = "%s = %s" % (
-                    name, _combo_text(combo or {}, field))
+                report.counterexample = _dependency(elim, name, vec)
         ok = (dim == len(cols) == increment) and note is None
         if not ok and note is None:
             note = "dimension %d, monomials %d, new rank %d" % (
@@ -409,66 +462,37 @@ def _filtered_cells(report, field, key_order, rows_by_degree, cols_by_degree):
             CellRecord(n, dim, len(cols), increment, ok, note))
 
 
-class _ZSolver:
-    """Solve A*x = b over Z repeatedly from one Smith factorization."""
+def _square_cells(ring, key_order, rows_by_degree, cols_by_degree):
+    """Per-degree basis certification over Z or Z/p^N.
 
-    def __init__(self, matrix):
-        self.D, self.U, self.V = matrix.smith_normal_form()
-        self.nrows = matrix.nrows
-        self.ncols = matrix.ncols
-
-    def solve(self, b):
-        c = self.U.apply_vector(b)
-        y = [0] * self.ncols
-        for i in range(self.nrows):
-            if i < len(self.D):
-                q, r = divmod(c[i], self.D[i])
-                if r != 0:
-                    return None
-                if i < self.ncols:
-                    y[i] = q
-            elif c[i] != 0:
-                return None
-        return self.V.apply_vector(y)
-
-
-def _z_square_cells(report, rows_by_degree, cols_by_degree):
-    """Square unimodular certification per degree over Z: every elementary
-    divisor 1 on a square cell makes the monomials a Z-basis of the words,
-    so every word is an integral combination of them."""
+    Each degree needs as many monomials as words, of full rank: over Z
+    with every elementary divisor 1, which makes them a Z-basis of the
+    words; over Z/p^N after reduction mod p, which makes the determinant
+    a unit.
+    """
+    cells = []
     for n in sorted(rows_by_degree):
         keys = rows_by_degree[n]
-        index = {k: i for i, k in enumerate(keys)}
         cols = cols_by_degree.get(n, [])
-        note = None
         rank = 0
-        ok = len(keys) == len(cols)
-        if not ok:
+        if ring.kind == "Z" and len(keys) != len(cols):
             note = "non-square system"
-        elif keys:
-            vectors = []
-            for name, vec in cols:
-                column = {}
-                for k, c in vec.items():
-                    if k not in index:
-                        note = "image of %s leaves the window" % name
-                        ok = False
-                        break
-                    column[index[k]] = c
-                if not ok:
-                    break
-                vectors.append(column)
-            if ok:
-                divisors = elementary_divisors(vectors)
-                rank = len(divisors)
-                bad = [d for d in divisors if d != 1]
-                ok = rank == len(keys) and not bad
-                if bad:
-                    note = "elementary divisors %s" % bad
-                elif rank != len(keys):
-                    note = "rank %d of %d" % (rank, len(keys))
-        report.cells.append(
-            CellRecord(n, len(keys), len(cols), rank, ok, note))
+        else:
+            _, note = _window_check(set(keys), cols)
+        if note is None:
+            rank, divisors = _cell_rank(ring, key_order,
+                                        [vec for _, vec in cols])
+            if divisors is None:
+                if not len(keys) == len(cols) == rank:
+                    note = "determinant not a unit"
+            elif any(d != 1 for d in divisors):
+                note = "elementary divisors %s" % [
+                    d for d in divisors if d != 1]
+            elif rank != len(keys):
+                note = "rank %d of %d" % (rank, len(keys))
+        cells.append(CellRecord(n, len(keys), len(cols), rank, note is None,
+                                note))
+    return cells
 
 
 def _key_text(key):
@@ -489,76 +513,56 @@ def check_independence(algebra, degree):
     """
     ring = algebra.ring
     key_order = type(algebra.unit).key_order
-    cols = algebra.monomials(degree)
-    universe = {k for _, img in cols for k in img.terms}
+    cols = [(name, img.terms) for name, img in algebra.monomials(degree)]
+    universe = {k for _, vec in cols for k in vec}
+    rank, divisors = _cell_rank(ring, key_order, [vec for _, vec in cols])
+    ok = rank == len(cols) and all(d == 1 for d in divisors or ())
     note = None
-    rank = 0
-    if ring.is_field:
-        elim = SparseEliminator(ring, key_order, track=True)
-        for name, img in cols:
-            if elim.insert(dict(img.terms), tag=name):
-                rank += 1
-            elif note is None:
-                combo = elim.express(dict(img.terms))
-                note = "%s = %s" % (name, _combo_text(combo or {}, ring))
-        ok = rank == len(cols)
-    elif ring.kind == "Z":
-        divisors = elementary_divisors([img.terms for _, img in cols])
-        rank = len(divisors)
-        ok = rank == len(cols) and all(d == 1 for d in divisors)
-        if not ok:
+    if not ok:
+        if ring.is_field:
+            # name the first monomial in the span of the ones before it
+            elim = SparseEliminator(ring, key_order, track=True)
+            for name, vec in cols:
+                if not elim.insert(vec, tag=name):
+                    note = _dependency(elim, name, vec)
+                    break
+        elif divisors is not None:
             note = "not a direct summand: elementary divisors %s" % (
                 divisors,)
-    else:
-        rank = _rank_mod_p(ring.p, key_order,
-                           [img.terms for _, img in cols])
-        ok = rank == len(cols)
-        if not ok:
+        else:
             note = "rank %d mod %d" % (rank, ring.p)
     return CellRecord(degree, len(universe), len(cols), rank, ok, note)
 
 
 def check_spanning(algebra, degree):
-    """Is every degree-n basis word a combination of the monomial images?"""
+    """Is every degree-n basis word a combination of the monomial images?
+
+    The verdict is read off the rank of the images: they span when it
+    equals the number of words, over a field and, by Nakayama's lemma,
+    over Z/p^N, where the rank is taken mod p; over Z when moreover every
+    elementary divisor is 1.  Only a failing cell is solved word by word,
+    to name the first word out of reach.
+    """
     ring = algebra.ring
     if not isinstance(algebra.unit, TensorPoly):
         raise ValueError("spanning checks run on tensor algebras")
     rows = list(graded_basis(algebra.semigroup, degree,
                              algebra.length_bound))
-    index = {w: i for i, w in enumerate(rows)}
-    cols = algebra.monomials(degree)
-    vectors = []
-    note = None
-    ok = True
-    for name, img in cols:
-        column = [ring.zero] * len(rows)
-        for w, c in img.terms.items():
-            if w not in index:
-                ok = False
-                note = "image of %s leaves the window" % name
-                break
-            column[index[w]] = c
-        if not ok:
-            break
-        vectors.append(column)
-    rank = 0
-    if ok:
-        matrix = Matrix.from_columns(ring, vectors, len(rows))
-        if ring.kind == "Z":
-            solver = _ZSolver(matrix)
-            rank = len(solver.D)
-            solve = solver.solve
-        else:
-            solve = matrix.solve
-            if ring.is_field:
-                rank = matrix.row_reduce()[0]
-            else:
-                rank = _rank_mod_p(ring.p, TensorPoly.key_order,
-                                   [img.terms for _, img in cols])
+    cols = [(name, img.terms) for name, img in algebra.monomials(degree)]
+    _, note = _window_check(set(rows), cols)
+    if note is not None:
+        return CellRecord(degree, len(rows), len(cols), 0, False, note)
+    rank, divisors = _cell_rank(ring, TensorPoly.key_order,
+                                [vec for _, vec in cols])
+    ok = rank == len(rows) and all(d == 1 for d in divisors or ())
+    if not ok:
+        matrix = Matrix.from_columns(
+            ring, [[vec.get(w, ring.zero) for w in rows] for _, vec in cols],
+            len(rows))
+        solve = _ZSolver(matrix).solve if ring.kind == "Z" else matrix.solve
         for w in rows:
-            target = [ring.one if u == w else ring.zero for u in rows]
-            if solve(target) is None:
-                ok = False
+            if solve([ring.one if u == w else ring.zero
+                      for u in rows]) is None:
                 note = "word %s is not reachable" % w.display(True)
                 break
     return CellRecord(degree, len(rows), len(cols), rank, ok, note)
@@ -581,14 +585,6 @@ def _column_buckets(algebra, degree_bound):
     buckets = algebra.monomials_by_degree(degree_bound)
     return {n: [(name, img.terms) for name, img in bucket]
             for n, bucket in buckets.items()}
-
-
-def _rank_mod_p(p, key_order, vectors):
-    """Rank over F_p of integer vectors reduced mod p."""
-    elim = SparseEliminator(Ring.prime_field(p), key_order)
-    for vec in vectors:
-        elim.insert({k: r for k, c in vec.items() if (r := int(c) % p)})
-    return elim.rank
 
 
 def _tail_scalar(ring, lam, p, length):
@@ -714,6 +710,13 @@ def _letterwise_power_checks(ring, lam, semigroup, p, candidates, bound=6):
     return checks
 
 
+def _orbit_check(semigroup, p, degree_bound, length_bound):
+    ok, details = tel2_orbit_check(semigroup, p, degree_bound, length_bound)
+    return CheckRecord(
+        "moved family is the power orbit of the reduced family", ok,
+        None if ok else str(details))
+
+
 def _unit_power_family_check(semigroup, family, p, degree_bound,
                              length_bound):
     """Over a unitarized free monoid the fixed tensor Lyndon words are
@@ -758,10 +761,8 @@ def verify_fp_nonzero(semigroup, p, weight, degree_bound, length_bound=None):
     sets = standard_generating_sets(semigroup, p, degree_bound, length_bound)
     if branch == "free-abelian":
         gens = [word_symbol(ring, lam, semigroup, w) for w in sets["tel"]]
-        for n, count, lyn in _family_counts(sets, degree_bound):
-            report.checks.append(CheckRecord(
-                "degree %d tensor Lyndon count equals Lyndon count" % n,
-                count == lyn, "%d" % count))
+        report.checks.extend(_count_check(n, count, lyn) for n, count, lyn
+                             in _family_counts(sets, degree_bound))
         report.checks.extend(_letterwise_power_checks(
             ring, lam, semigroup, p,
             [u for u in sets["el"] if u.degree * p <= degree_bound]))
@@ -782,11 +783,8 @@ def verify_fp_nonzero(semigroup, p, weight, degree_bound, length_bound=None):
                 and semigroup.inner.kind == "free_abelian":
             report.checks.append(_unit_power_family_check(
                 semigroup, sets["tel1"], p, degree_bound, length_bound))
-        ok, details = tel2_orbit_check(semigroup, p, degree_bound,
-                                       length_bound)
-        report.checks.append(CheckRecord(
-            "moved family is the power orbit of the reduced family", ok,
-            None if ok else str(details)))
+        report.checks.append(_orbit_check(semigroup, p, degree_bound,
+                                          length_bound))
         fixed_letters = set(semigroup.split_p_fixed(p, degree_bound)[0])
         moved = [u for u in sets["el"]
                  if u.degree * p <= degree_bound
@@ -804,11 +802,8 @@ def verify_fp_nonzero(semigroup, p, weight, degree_bound, length_bound=None):
             gens.append(GeneratorSymbol(
                 _difference_name(w, p), image, image.max_degree(), w.length,
                 cap=p - 1, relation=("power_zero", p)))
-        ok, details = tel2_orbit_check(semigroup, p, degree_bound,
-                                       length_bound)
-        report.checks.append(CheckRecord(
-            "moved family is the power orbit of the reduced family", ok,
-            None if ok else str(details)))
+        report.checks.append(_orbit_check(semigroup, p, degree_bound,
+                                          length_bound))
     algebra = PresentedAlgebra(ring, lam, semigroup, gens,
                                TensorPoly.unit(ring, lam, semigroup),
                                length_bound)
@@ -822,6 +817,12 @@ def verify_fp_nonzero(semigroup, p, weight, degree_bound, length_bound=None):
 def _difference_name(word, p):
     return "[%s-%s]" % (word.display(True),
                         componentwise_p_power(word, p).display(True))
+
+
+def _count_check(n, count, lyndon_count):
+    return CheckRecord(
+        "degree %d tensor Lyndon count equals Lyndon count" % n,
+        count == lyndon_count, "%d" % count)
 
 
 def _family_counts(sets, degree_bound):
@@ -849,25 +850,16 @@ def _int_weight(weight, p):
 
 
 def _zp_basis_cells(semigroup, p, precision, weight, degree_bound):
-    """Tensor Lyndon monomials against the word basis mod p^N: full rank
-    after reduction mod p makes the square system's determinant a unit."""
+    """Tensor Lyndon monomials against the word basis mod p^N."""
     ring = Ring.truncated_padic(p, precision)
     lam = ring.of(weight)
     sets = standard_generating_sets(semigroup, p, degree_bound)
     gens = [word_symbol(ring, lam, semigroup, w) for w in sets["tel"]]
     algebra = PresentedAlgebra(ring, lam, semigroup, gens,
                                TensorPoly.unit(ring, lam, semigroup))
-    cells = []
-    buckets = _column_buckets(algebra, degree_bound)
-    rows = _tensor_rows(semigroup, degree_bound, None)
-    for n in range(degree_bound + 1):
-        keys = rows[n]
-        rank = _rank_mod_p(p, TensorPoly.key_order,
-                           [vec for _, vec in buckets.get(n, [])])
-        cols = len(buckets.get(n, []))
-        ok = len(keys) == cols == rank
-        cells.append(CellRecord(n, len(keys), cols, rank, ok,
-                                None if ok else "determinant not a unit"))
+    cells = _square_cells(ring, TensorPoly.key_order,
+                          _tensor_rows(semigroup, degree_bound, None),
+                          _column_buckets(algebra, degree_bound))
     return cells, sets
 
 
@@ -886,9 +878,7 @@ def verify_zp(semigroup, p, precision, weight, degree_bound):
     cells, sets = _zp_basis_cells(semigroup, p, precision, w, degree_bound)
     report.cells.extend(cells)
     for n, count, lyn in _family_counts(sets, degree_bound):
-        report.checks.append(CheckRecord(
-            "degree %d tensor Lyndon count equals Lyndon count" % n,
-            count == lyn, "%d" % count))
+        report.checks.append(_count_check(n, count, lyn))
         diag, _ = compute_cokernel_basis(semigroup, w, n)
         unit_ok = all(d % p != 0 for d in diag["divisors"])
         rank_ok = diag["coker_rank"] == lyn
@@ -1066,7 +1056,9 @@ def verify_z_polynomial(semigroup, weight, degree_bound):
     algebra = PresentedAlgebra(ring, lam, semigroup, gens,
                                TensorPoly.unit(ring, lam, semigroup))
     rows = _tensor_rows(semigroup, degree_bound, None)
-    _z_square_cells(report, rows, _column_buckets(algebra, degree_bound))
+    report.cells.extend(_square_cells(
+        ring, TensorPoly.key_order, rows,
+        _column_buckets(algebra, degree_bound)))
     return report
 
 
@@ -1115,7 +1107,7 @@ def verify_nested_summand(semigroups, weight, degree_bound):
                                        for j, c in vec.items())
                                 for i in range(rank, len(index))})
             size = diag_big["coker_rank"]
-            d = elementary_divisors(columns)
+            _, d = _cell_rank(ring, None, columns)
             ok = len(d) == len(columns) and all(x == 1 for x in d)
             report.cells.append(CellRecord(
                 n, size, len(columns), len(d), ok,
@@ -1221,8 +1213,8 @@ def _verify_rbazp(alphabet, p, precision, weight, degree_bound):
     buckets = _column_buckets(algebra, degree_bound)
     for n in range(degree_bound + 1):
         keys = rows[n]
-        rank = _rank_mod_p(p, RBElement.key_order,
-                           [vec for _, vec in buckets.get(n, [])])
+        rank, _ = _cell_rank(ring, RBElement.key_order,
+                             [vec for _, vec in buckets.get(n, [])])
         cols = len(buckets.get(n, []))
         ok = cols == rank
         report.cells.append(CellRecord(
@@ -1275,7 +1267,8 @@ def _verify_rbaz(alphabet, weight, degree_bound, length_bound):
         for key in interior:
             cols.append(("N:%s" % _key_text(key), {key: 1}))
         cols_by_degree[n] = cols
-    _z_square_cells(report, rows_by_degree, cols_by_degree)
+    report.cells.extend(_square_cells(ring, RBElement.key_order,
+                                      rows_by_degree, cols_by_degree))
     return report
 
 
@@ -1517,8 +1510,6 @@ def verify_semigroup_props(semigroup, p, degree_bound, length_bound=None):
             and semigroup.inner.kind == "free_abelian":
         report.checks.append(_unit_power_family_check(
             semigroup, sets["tel1"], p, degree_bound, length_bound))
-    ok, details = tel2_orbit_check(semigroup, p, degree_bound, length_bound)
-    report.checks.append(CheckRecord(
-        "moved family is the power orbit of the reduced family", ok,
-        None if ok else str(details)))
+    report.checks.append(_orbit_check(semigroup, p, degree_bound,
+                                      length_bound))
     return report

@@ -444,7 +444,7 @@ def test_field_cells_fail_on_a_dependent_family(monkeypatch):
     assert failing_cells(r) == [
         (2, 2, 3, 2, False, "dimension 2, monomials 3, new rank 2"),
         (3, 4, 5, 4, False, "dimension 4, monomials 5, new rank 4")]
-    assert r.counterexample == "x^2 = 2*x(x)x + 1*x^2"
+    assert r.counterexample == "x^2 = 2*[x(x)x] + 1*[x^2]"
 
 
 def test_field_cells_fail_when_an_image_leaves_the_window(monkeypatch):
@@ -481,8 +481,8 @@ def test_z_cells_fail_when_an_image_leaves_the_window(monkeypatch):
     patch_cokernel(monkeypatch, 2, lift)
     r = verify_z_polynomial(FreeAbelian(["x"]), 1, 3)
     assert failing_cells(r) == [
-        (2, 2, 2, 0, False, "image of x(x)x leaves the window"),
-        (3, 4, 4, 0, False, "image of x*x(x)x leaves the window")]
+        (2, 2, 2, 0, False, "image of [x(x)x] leaves the window"),
+        (3, 4, 4, 0, False, "image of x*[x(x)x] leaves the window")]
     assert r.counterexample is None
 
 
@@ -565,7 +565,22 @@ def test_independence_failure_notes():
         2, 2, 2, 1, False, "rank 1 mod 2")
     assert cell_of(check_independence(
         lyndon_algebra(Ring.prime_field(3), 1, 6), 3)) == (
-        3, 3, 4, 3, False, "x^3 = 1*x^3")
+        3, 3, 4, 3, False, "x^3 = 1*[x^3]")
+
+
+def test_zpn_cells_take_the_rank_mod_p():
+    # independent over Q and over Z, dependent mod 3
+    R = Ring.truncated_padic(3, 4)
+    f = FreeAbelian(["x"])
+    x = f.parse("x")
+    xx, x2 = Word((x, x)), Word((x ** 2,))
+    gens = [GeneratorSymbol(name, TensorPoly(R, 1, f, terms), 2, 2)
+            for name, terms in (("a", {xx: 1, x2: 2}), ("b", {xx: 2, x2: 1}))]
+    alg = PresentedAlgebra(R, 1, f, gens, TensorPoly.unit(R, 1, f))
+    assert cell_of(check_independence(alg, 2)) == (
+        2, 2, 2, 1, False, "rank 1 mod 3")
+    assert cell_of(check_spanning(alg, 2)) == (
+        2, 2, 2, 1, False, "word x^2 is not reachable")
 
 
 def test_spanning_fails_when_an_image_leaves_the_window():
@@ -619,13 +634,15 @@ SPANNING_RINGS = (Ring.rationals(), Ring.prime_field(2), Ring.prime_field(3),
                   Ring.truncated_padic(3, 4))
 
 
-@pytest.mark.parametrize("names", [("x",), ("x", "y")])
+@pytest.mark.parametrize("names,top", [(("x",), 4), (("x", "y"), 3)])
 @pytest.mark.parametrize("ring", SPANNING_RINGS, ids=repr)
-def test_spanning_matches_solving_every_word(names, ring):
+def test_spanning_matches_solving_every_word(names, top, ring):
+    # two letters stop at degree 3: at degree 4 the reference solves for
+    # 82 words one at a time, longer than the rest of the suite takes
     first_failure = {}
     for lam in (0, 1, 2):
-        alg = lyndon_algebra(ring, lam, 4, names)
-        for degree in range(5):
+        alg = lyndon_algebra(ring, lam, top, names)
+        for degree in range(top + 1):
             cell = check_spanning(alg, degree)
             got = (cell.ok, cell.rank, cell.note)
             assert got == reference_spanning(alg, degree), (lam, degree)
@@ -637,3 +654,48 @@ def test_spanning_matches_solving_every_word(names, ring):
         assert first_failure == {
             lam: (ring.p, "word %s is not reachable" % word)
             for lam in (0, 1, 2)}
+
+
+def test_passing_spanning_check_runs_no_solve(monkeypatch):
+    f = FreeAbelian(["x"])
+    Z = Ring.integers()
+    cokernel_gens = []
+    for k in range(1, 5):
+        diag, lifted = compute_cokernel_basis(f, 1, k)
+        cokernel_gens += [GeneratorSymbol(name, poly, k,
+                                          poly.leading_term()[0].length)
+                          for name, poly in zip(diag["y_words"], lifted)]
+    Zp = Ring.truncated_padic(3, 4)
+    tensor_lyndon = mx.standard_generating_sets(f, 3, 4)["tel"]
+    algebras = [
+        lyndon_algebra(Ring.rationals(), 1, 4, ("x", "y")),
+        PresentedAlgebra(Z, 1, f, cokernel_gens, TensorPoly.unit(Z, 1, f)),
+        PresentedAlgebra(Zp, 1, f,
+                         [word_symbol(Zp, 1, f, w) for w in tensor_lyndon],
+                         TensorPoly.unit(Zp, 1, f)),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a passing spanning check solved for a word")
+
+    monkeypatch.setattr(Matrix, "solve", refuse)
+    monkeypatch.setattr(verify_module._ZSolver, "solve", refuse)
+    for alg in algebras:
+        for degree in range(5):
+            assert check_spanning(alg, degree).ok, (alg.ring, degree)
+
+
+def test_monomial_names_are_distinct_in_each_degree():
+    F2 = Ring.prime_field(2)
+    one_letter = lyndon_algebra(F2, 1, 6)
+    assert [name for name, _ in one_letter.monomials(2)] == ["[x^2]", "x^2"]
+    monoid = mx.Unitarized(FreeAbelian(["x", "y"]))
+    with_unit_letter = PresentedAlgebra(
+        F2, 1, monoid, [word_symbol(F2, 1, monoid, w)
+                        for w in enumerate_lyndon(monoid, 4, 3)],
+        TensorPoly.unit(F2, 1, monoid), length_bound=3)
+    for alg in (one_letter, lyndon_algebra(F2, 1, 5, ("x", "y")),
+                with_unit_letter):
+        for degree, bucket in alg.monomials_by_degree(4).items():
+            names = [name for name, _ in bucket]
+            assert len(set(names)) == len(names), (degree, names)
