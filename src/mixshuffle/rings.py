@@ -561,9 +561,8 @@ class Matrix:
         """One solution x of self * x = b, or None when none exists.
 
         Over Q and Fp this is elimination; over Z it goes through the Smith
-        normal form (_ZSolver); over Z/p^N it lifts to an integer system
-        solved at modulus p^N, where a diagonal equation d*y = c is
-        solvable exactly when p^min(val(d), N) divides c.
+        normal form (_ZSolver); over Z/p^N through the Smith normal form
+        of the matrix lifted to Z (_TruncatedSolver).
         """
         R = self.ring
         if len(b) != self.nrows:
@@ -573,7 +572,7 @@ class Matrix:
             return self._solve_field(b)
         if R.kind == Z:
             return _ZSolver(self).solve(b)
-        return self._solve_truncated(b)
+        return _TruncatedSolver(self).solve(b)
 
     def _solve_field(self, b):
         R = self.ring
@@ -587,33 +586,6 @@ class Matrix:
         for i, col in enumerate(pivots):
             x[col] = rref[i][n]
         return x
-
-    def _solve_truncated(self, b):
-        R = self.ring
-        p, N = R.p, R.precision
-        lifted = Matrix(Ring.integers(), self.rows, nrows=self.nrows, ncols=self.ncols)
-        D, U, V = lifted.smith_normal_form()
-        c = U.apply_vector([int(x) for x in b])
-        modulus = p ** N
-        n = self.ncols
-        y = [0] * n
-        for i in range(self.nrows):
-            ci = c[i] % modulus
-            if i < len(D):
-                g = p ** min(p_adic_valuation(D[i], p) if D[i] else N, N)
-                if ci % g != 0:
-                    return None
-                rest = modulus // g
-                if rest == 1:
-                    y[i] = 0
-                else:
-                    unit = (D[i] // g) % rest
-                    y[i] = (ci // g) * pow(unit, -1, rest) % rest
-            elif ci != 0:
-                return None
-        x = V.apply_vector(y)
-        return [R.of(xi) for xi in x]
-
 
 class _ZSolver:
     """Solve A*x = b over Z for many b from one Smith normal form of A."""
@@ -636,6 +608,39 @@ class _ZSolver:
             elif c[i] != 0:
                 return None
         return self.V.apply_vector(y)
+
+
+class _TruncatedSolver(_ZSolver):
+    """Solve A*x = b over Z/p^N for many b from one Smith normal form of A
+    lifted to Z.  A diagonal equation d*y = c is solvable exactly when
+    p^min(val(d), N) divides c."""
+
+    def __init__(self, matrix):
+        super().__init__(Matrix(Ring.integers(), matrix.rows,
+                                nrows=matrix.nrows, ncols=matrix.ncols))
+        self.ring = matrix.ring
+
+    def solve(self, b):
+        """One solution x over Z/p^N, or None when none exists."""
+        R = self.ring
+        p, N = R.p, R.precision
+        c = self.U.apply_vector([int(x) for x in b])
+        modulus = p ** N
+        y = [0] * self.ncols
+        for i in range(self.nrows):
+            ci = c[i] % modulus
+            if i < len(self.D):
+                d = self.D[i]
+                g = p ** min(p_adic_valuation(d, p) if d else N, N)
+                if ci % g != 0:
+                    return None
+                rest = modulus // g
+                if rest > 1:
+                    unit = (d // g) % rest
+                    y[i] = (ci // g) * pow(unit, -1, rest) % rest
+            elif ci != 0:
+                return None
+        return [R.of(xi) for xi in self.V.apply_vector(y)]
 
 
 def elementary_divisors(columns):

@@ -17,8 +17,9 @@ holds identically, and the algebra is the free commutative one on its
 alphabet.  The alphabet must contain an identity, since P needs it.
 """
 
+from .semigroups import letter_codec
 from .shuffle import Combination, memo_codec, ring_values, shuffle_sum
-from .words import Word, empty_word, _pretty_name
+from .words import Word, _from_codes, empty_word, _pretty_name
 
 
 class RBElement(Combination):
@@ -79,17 +80,15 @@ class RBElement(Combination):
         self._check(other)
         R = self.ring
         codec = memo_codec(memo, R, self.lam, self.semigroup)
-        left = [(codec.code(h.key), codec.encode(t), c)
-                for (h, t), c in self.terms.items()]
-        right = [(codec.code(h.key), codec.encode(t), c)
-                 for (h, t), c in other.terms.items()]
+        left = [(h.code, t.codes, c) for (h, t), c in self.terms.items()]
+        right = [(h.code, t.codes, c) for (h, t), c in other.terms.items()]
         acc, den = shuffle_sum(R, self.lam, codec, memo, left, right,
                                heads=True)
         terms = {}
         for h, raw in acc.items():
             head = codec.elements[h]
             terms.update(ring_values(
-                R, raw, den, lambda t: (head, codec.decode(t))))
+                R, raw, den, lambda t: (head, _from_codes(codec, t))))
         return self._like(terms)
 
     def power(self, k):
@@ -101,9 +100,10 @@ class RBElement(Combination):
     def operator_p(self):
         """Shift each head into its tail, identity becomes the head."""
         ident = self.semigroup.identity
+        codec = letter_codec(self.semigroup)
         acc = {}
         for (h, t), c in self.terms.items():
-            key = (ident, Word((h,) + t.letters))
+            key = (ident, _from_codes(codec, (h.code,) + t.codes))
             acc[key] = self.ring.add(acc.get(key, self.ring.zero), c)
         return RBElement(self.ring, self.lam, self.semigroup, acc)
 

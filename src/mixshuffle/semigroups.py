@@ -8,7 +8,9 @@ provided; it multiplies to zero, which is the right reading for weight
 zero products (and for any weight, merged letters simply vanish).
 
 Elements are lightweight keys interpreted by their semigroup.  Orders are
-total; comparisons across different semigroups raise.
+total; comparisons across different semigroups raise.  Each alphabet,
+up to equality, has one LetterCodec that numbers its letters with small
+ints; words and the product kernels work on those codes.
 
 classify() tests, inside a degree window, the order/power compatibility
 conditions that the structure theorems key on:
@@ -28,13 +30,14 @@ import json
 
 @functools.total_ordering
 class Element:
-    __slots__ = ("semigroup", "key", "_hash", "_sort")
+    __slots__ = ("semigroup", "key", "_hash", "_sort", "_code")
 
     def __init__(self, semigroup, key):
         self.semigroup = semigroup
         self.key = key
         self._hash = None
         self._sort = None
+        self._code = None
 
     def __mul__(self, other):
         if other.semigroup != self.semigroup:
@@ -88,6 +91,14 @@ class Element:
             s = self._sort = self.semigroup.sort_key_of(self.key)
         return s
 
+    @property
+    def code(self):
+        """This letter's code in the codec of its alphabet."""
+        c = self._code
+        if c is None:
+            c = self._code = letter_codec(self.semigroup).code(self.key)
+        return c
+
     def __hash__(self):
         h = self._hash
         if h is None:
@@ -96,6 +107,95 @@ class Element:
 
     def __repr__(self):
         return self.name
+
+
+class LetterCodec:
+    """Small-int codes for the letters of one alphabet.
+
+    letter_codec keeps one codec per alphabet up to equality, so a code
+    names the same letter under every equal semigroup object.  Codes are
+    handed out in first-seen order.  The element, sort key and degree of
+    each code are kept, and products and p-th powers of codes are cached
+    in tables, so the product kernels never build, hash or multiply an
+    Element: they work on tuples of ints, which is also what a Word
+    holds.
+    """
+
+    __slots__ = ("semigroup", "codes", "keys", "elements", "sort_keys",
+                 "degrees", "products", "powers")
+
+    def __init__(self, semigroup):
+        self.semigroup = semigroup
+        self.codes = {}
+        self.keys = []
+        self.elements = []
+        self.sort_keys = []
+        self.degrees = []
+        self.products = {}
+        self.powers = {}
+
+    def code(self, key):
+        """The code of the letter with this Element.key."""
+        c = self.codes.get(key)
+        if c is None:
+            c = self.codes[key] = len(self.keys)
+            letter = Element(self.semigroup, key)
+            letter._code = c
+            self.keys.append(key)
+            self.elements.append(letter)
+            self.sort_keys.append(letter.sort_key)
+            self.degrees.append(letter.degree)
+        return c
+
+    def multiply(self, a, b):
+        """The code of the product of two letters, None for zero."""
+        try:
+            return self.products[a, b]
+        except KeyError:
+            k = self.semigroup.multiply_keys(self.keys[a], self.keys[b])
+            c = None if k is None else self.code(k)
+            self.products[a, b] = self.products[b, a] = c
+            return c
+
+    def merge(self, a, b):
+        """The product of two letters merged into one slot."""
+        c = self.multiply(a, b)
+        if c is None:
+            raise ValueError(
+                "letters %r and %r do not multiply; only weight zero "
+                "works over a bare ordered set"
+                % (self.elements[a], self.elements[b]))
+        return c
+
+    def power(self, a, p):
+        """The code of the p-th power of a letter, None for zero.
+
+        Taken by repeated products in the semigroup, never from a
+        congruence that a verifier checks.
+        """
+        try:
+            return self.powers[a, p]
+        except KeyError:
+            lp = self.elements[a] ** p
+            c = self.powers[a, p] = None if lp is None else self.code(lp.key)
+            return c
+
+
+# one codec per alphabet up to equality (semigroups hash by descriptor):
+# words compare on their codes, so equal alphabets must share them.  A
+# codec lives as long as the process.
+_CODECS = {}
+
+
+def letter_codec(semigroup):
+    """The codec shared by every alphabet equal to this one."""
+    codec = semigroup._codec
+    if codec is None:
+        codec = _CODECS.get(semigroup)
+        if codec is None:
+            codec = _CODECS[semigroup] = LetterCodec(semigroup)
+        semigroup._codec = codec
+    return codec
 
 
 class OrderedSemigroup:
@@ -107,11 +207,8 @@ class OrderedSemigroup:
     identity_key = None
     is_graded = False
     is_finite = False
-    # the product layer's integer letter codes, made on first use
-    letter_codec = None
-
-    def element(self, key):
-        return Element(self, key)
+    # this alphabet's LetterCodec, looked up on first use
+    _codec = None
 
     @property
     def identity(self):
@@ -223,7 +320,8 @@ class OrderedSemigroup:
         return sorted(result)
 
     def __eq__(self, other):
-        return isinstance(other, OrderedSemigroup) and self.descriptor() == other.descriptor()
+        return other is self or (isinstance(other, OrderedSemigroup)
+                                 and self.descriptor() == other.descriptor())
 
     def __hash__(self):
         return hash(self.descriptor())

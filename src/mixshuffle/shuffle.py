@@ -19,13 +19,14 @@ word, merge both heads).  The oracle enumerates all pairs of
 order-preserving slot injections whose images cover the result word and
 is used only to cross-check the dynamic program.
 
-Inside the product layer letters are small ints handed out by one
-LetterCodec per alphabet, words are tuples of them, and coefficients
-are plain integers: the number of ways to reach a word, reduced mod the
-ring's modulus when it has one.  A word with k merged slots carries
-lambda^k, which depends on its length alone, so the weight and the
-input coefficients are applied once per result word, and Element and
-Word objects are built only at the end.
+Inside the product layer letters are the small ints of their alphabet's
+LetterCodec, words are the code tuples that Word objects already hold,
+and coefficients are plain integers: the number of ways to reach a word,
+reduced mod the ring's modulus when it has one.  A word with k merged
+slots carries lambda^k, which depends on its length alone, so the weight
+and the input coefficients are applied once per result word.  Each
+result word becomes one Word around its code tuple; no letter is
+decoded until something asks for it.
 
 Powers are not computed by repeated binary products.  A k-fold shuffle
 collapses to a walk over tuples of consumed-prefix lengths, and factors
@@ -35,13 +36,14 @@ whose binomial vanishes in the ring is dropped.  This keeps p-th powers
 of small polynomials tractable for p = 5.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 from .rings import Q, Ring
-from .semigroups import OrderedSemigroup
-from .words import Word, empty_word
+from .semigroups import OrderedSemigroup, letter_codec
+from .words import Word, _from_codes, empty_word
 
 
 def _accumulate(acc, ring, letters, coeff):
@@ -94,75 +96,6 @@ def shuffle_letters_oracle(u, v, ring, lam):
                         letters.append(iv[slot])
                 _accumulate(acc, ring, tuple(letters), weight)
     return acc
-
-
-class LetterCodec:
-    """Small-int codes for the letters of one semigroup.
-
-    Codes are handed out in first-seen order.  The element and the sort
-    key of each code are kept, and products of codes are cached in a
-    table, so the product kernels never build, hash or multiply an
-    Element: they work on tuples of ints, and decode() turns a result
-    back into a Word at the end.
-    """
-
-    __slots__ = ("semigroup", "codes", "keys", "elements", "sort_keys",
-                 "products")
-
-    def __init__(self, semigroup):
-        self.semigroup = semigroup
-        self.codes = {}
-        self.keys = []
-        self.elements = []
-        self.sort_keys = []
-        self.products = {}
-
-    def code(self, key):
-        """The code of the letter with this Element.key."""
-        c = self.codes.get(key)
-        if c is None:
-            c = self.codes[key] = len(self.keys)
-            letter = self.semigroup.element(key)
-            self.keys.append(key)
-            self.elements.append(letter)
-            self.sort_keys.append(letter.sort_key)
-        return c
-
-    def encode(self, word):
-        code = self.code
-        return tuple([code(l.key) for l in word.letters])
-
-    def multiply(self, a, b):
-        """The code of the product of two letters, None for zero."""
-        try:
-            return self.products[a, b]
-        except KeyError:
-            k = self.semigroup.multiply_keys(self.keys[a], self.keys[b])
-            c = None if k is None else self.code(k)
-            self.products[a, b] = self.products[b, a] = c
-            return c
-
-    def merge(self, a, b):
-        """The product of two letters merged into one slot."""
-        c = self.multiply(a, b)
-        if c is None:
-            raise ValueError(
-                "letters %r and %r do not multiply; only weight zero "
-                "works over a bare ordered set"
-                % (self.elements[a], self.elements[b]))
-        return c
-
-    def decode(self, codes):
-        return Word.with_keys(tuple(map(self.elements.__getitem__, codes)),
-                              tuple(map(self.sort_keys.__getitem__, codes)))
-
-
-def letter_codec(semigroup):
-    """The codec shared by every product over this alphabet object."""
-    codec = semigroup.letter_codec
-    if codec is None:
-        codec = semigroup.letter_codec = LetterCodec(semigroup)
-    return codec
 
 
 # memo slot naming the ring, weight and alphabet the memo was filled for
@@ -615,11 +548,11 @@ class TensorPoly(Combination):
         self._check(other)
         R = self.ring
         codec = memo_codec(memo, R, self.lam, self.semigroup)
-        left = [(None, codec.encode(w), c) for w, c in self.terms.items()]
-        right = [(None, codec.encode(w), c) for w, c in other.terms.items()]
+        left = [(None, w.codes, c) for w, c in self.terms.items()]
+        right = [(None, w.codes, c) for w, c in other.terms.items()]
         acc, den = shuffle_sum(R, self.lam, codec, memo, left, right)
         return self._like(ring_values(R, acc.get(None, {}), den,
-                                      codec.decode))
+                                      functools.partial(_from_codes, codec)))
 
     def shuffle_power(self, k):
         """k-th power, expanded multinomially into joint shuffles."""
@@ -630,7 +563,7 @@ class TensorPoly(Combination):
             return TensorPoly.zero(R, self.lam, self.semigroup)
         codec = letter_codec(self.semigroup)
         items = [(w, self.terms[w]) for w in self.support()]
-        words = [codec.encode(w) for w, _ in items]
+        words = [w.codes for w, _ in items]
         nums, den = _integral([c for _, c in items])
         merge = not R.is_zero(self.lam)
         mod = R.modulus
@@ -653,7 +586,8 @@ class TensorPoly(Combination):
                                        memo).items():
                 acc[t] = get(t, 0) + w[size - len(t)] * c
         return self._like(ring_values(
-            R, acc, den ** k * self.lam.denominator ** top, codec.decode))
+            R, acc, den ** k * self.lam.denominator ** top,
+            functools.partial(_from_codes, codec)))
 
 
 def _compositions(total, parts):

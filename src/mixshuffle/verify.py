@@ -34,8 +34,8 @@ import math
 import re
 from fractions import Fraction
 
-from .rings import Ring, Matrix, SparseEliminator, _ZSolver, _is_prime, \
-    elementary_divisors
+from .rings import Ring, Matrix, SparseEliminator, _TruncatedSolver, \
+    _ZSolver, _is_prime, elementary_divisors
 from .semigroups import Element, Unitarized, FreeAbelian, ProductSemigroup, \
     ElementaryPGroup, FiniteTableSemigroup, cyclic_group_table
 from .words import Word, empty_word, enumerate_words, enumerate_lyndon, \
@@ -540,8 +540,10 @@ def check_spanning(algebra, degree):
     The verdict is read off the rank of the images: they span when it
     equals the number of words, over a field and, by Nakayama's lemma,
     over Z/p^N, where the rank is taken mod p; over Z when moreover every
-    elementary divisor is 1.  Only a failing cell is solved word by word,
-    to name the first word out of reach.
+    elementary divisor is 1.  Only a failing cell tests its words one by
+    one, against one factorization of the images (an eliminator over a
+    field, a Smith form over Z and Z/p^N), to name the first word out of
+    reach.
     """
     ring = algebra.ring
     if not isinstance(algebra.unit, TensorPoly):
@@ -556,15 +558,24 @@ def check_spanning(algebra, degree):
                                 [vec for _, vec in cols])
     ok = rank == len(rows) and all(d == 1 for d in divisors or ())
     if not ok:
-        matrix = Matrix.from_columns(
-            ring, [[vec.get(w, ring.zero) for w in rows] for _, vec in cols],
-            len(rows))
-        solve = _ZSolver(matrix).solve if ring.kind == "Z" else matrix.solve
-        for w in rows:
-            if solve([ring.one if u == w else ring.zero
-                      for u in rows]) is None:
-                note = "word %s is not reachable" % w.display(True)
-                break
+        # one factorization serves every word
+        if ring.is_field:
+            elim = SparseEliminator(ring, TensorPoly.key_order)
+            for _, vec in cols:
+                elim.insert(vec)
+            unreachable = (w for w in rows
+                           if not elim.contains({w: ring.one}))
+        else:
+            matrix = Matrix.from_columns(
+                ring, [[vec.get(w, ring.zero) for w in rows]
+                       for _, vec in cols], len(rows))
+            solver = (_ZSolver if ring.kind == "Z" else _TruncatedSolver)(
+                matrix)
+            unreachable = (w for w in rows if solver.solve(
+                [ring.one if u == w else ring.zero for u in rows]) is None)
+        w = next(unreachable, None)
+        if w is not None:
+            note = "word %s is not reachable" % w.display(True)
     return CellRecord(degree, len(rows), len(cols), rank, ok, note)
 
 

@@ -1,6 +1,10 @@
 """Tensor words over an ordered semigroup.
 
-A word is a finite tuple of letters.  Two orders matter: plain
+A word is a finite tuple of letters, held as the tuple of their small-int
+codes under the one LetterCodec of its alphabet.  Words compare and hash
+on those codes (equal alphabets share a codec, and the empty word is the
+same over every alphabet); letters, sort keys and degree are read off
+the codec's tables on first use and kept.  Two orders matter: plain
 lexicographic order (a proper prefix is smaller), which defines Lyndon
 words, and pro-length order (shorter first, then letterwise), which is
 the order leading terms are read in.
@@ -16,68 +20,105 @@ p^k times, E keeps the words that are fixed by or outside the image of
 the letterwise power, and subscript_split separates fixed from moved.
 """
 
+from .semigroups import LetterCodec, letter_codec
+
+# the codec of a word built from no letters
+_NO_LETTERS = LetterCodec(None)
+
 
 class Word:
-    __slots__ = ("letters", "keys", "_degree")
+    """A word held as the tuple of its letter codes and its alphabet's
+    codec; equality and hashing read the codes, never the letters.
+
+    Letters, sort keys, the pro-length key and the degree are derived
+    from the codec's tables on first use and kept.  The empty word has
+    no alphabet of its own and equals every other empty word.
+    """
+
+    __slots__ = ("codes", "codec", "_letters", "_order", "_degree")
 
     def __init__(self, letters):
-        self.letters = tuple(letters)
-        self.keys = tuple(l.sort_key for l in self.letters)
-        self._degree = None
-
-    @classmethod
-    def with_keys(cls, letters, keys):
-        """A word from a letter tuple and its already known sort keys."""
-        w = cls.__new__(cls)
-        w.letters = letters
-        w.keys = keys
-        w._degree = None
-        return w
+        letters = tuple(letters)
+        codecs = {letter_codec(l.semigroup) for l in letters} or {_NO_LETTERS}
+        if len(codecs) > 1:
+            raise ValueError("letters from different alphabets")
+        self.codec, = codecs
+        self.codes = tuple([l.code for l in letters])
+        self._letters = self._order = self._degree = None
 
     @property
-    def length(self):
-        return len(self.letters)
-
-    @property
-    def degree(self):
-        if self._degree is None:
-            self._degree = sum(l.degree for l in self.letters)
-        return self._degree
+    def letters(self):
+        letters = self._letters
+        if letters is None:
+            letters = self._letters = tuple(
+                map(self.codec.elements.__getitem__, self.codes))
+        return letters
 
     @property
     def pro_length_key(self):
-        return (len(self.keys), self.keys)
+        order = self._order
+        if order is None:
+            codes = self.codes
+            order = self._order = (
+                len(codes), tuple(map(self.codec.sort_keys.__getitem__, codes)))
+        return order
+
+    @property
+    def keys(self):
+        return self.pro_length_key[1]
+
+    @property
+    def degree(self):
+        degree = self._degree
+        if degree is None:
+            degree = self._degree = sum(
+                map(self.codec.degrees.__getitem__, self.codes))
+        return degree
+
+    @property
+    def length(self):
+        return len(self.codes)
 
     def suffix(self, i):
-        return Word(self.letters[i:])
+        return _from_codes(self.codec, self.codes[i:])
 
     def concat(self, other):
         return Word(self.letters + other.letters)
 
     def tensor_power(self, t):
-        return Word(self.letters * t)
+        return _from_codes(self.codec, self.codes * t)
 
     def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
+        return (isinstance(other, Word) and self.codes == other.codes
+                and (self.codec is other.codec or not self.codes))
 
     def __hash__(self):
-        # equal words have equal sort keys, and plain tuples hash in C
-        return hash(self.keys)
+        return hash(self.codes)
 
     def __len__(self):
-        return len(self.letters)
+        return len(self.codes)
 
     def __repr__(self):
-        if not self.letters:
-            return "1"
-        return "(x)".join(l.name for l in self.letters)
+        return self.display(ascii_mode=True)
 
     def display(self, ascii_mode=False):
-        if not self.letters:
+        if not self.codes:
             return "1"
         if ascii_mode:
             return "(x)".join(l.name for l in self.letters)
         return "⊗".join(_pretty_name(l.name) for l in self.letters)
+
+
+_new = object.__new__
+
+
+def _from_codes(codec, codes):
+    """The word with these letter codes: one object, no per-letter work."""
+    w = _new(Word)
+    w.codes = codes
+    w.codec = codec
+    w._letters = w._order = w._degree = None
+    return w
 
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
@@ -133,28 +174,30 @@ def enumerate_words(semigroup, max_degree, max_length=None):
     Alphabets containing an identity letter (degree 0) have infinitely
     many words per degree, so a length bound is required there.
     """
-    letters = semigroup.elements_up_to(max_degree)
-    has_zero_degree = any(l.degree == 0 for l in letters)
+    codec = letter_codec(semigroup)
+    # ascending letters, so the depth-first walk lists words in lex order
+    # and a stable sort by length then gives pro-length order
+    letters = [(l.code, codec.degrees[l.code])
+               for l in semigroup.elements_up_to(max_degree)]
     if max_length is None:
-        if has_zero_degree:
+        if any(d == 0 for _, d in letters):
             raise ValueError("identity letters present: a length bound is required")
         max_length = max_degree
     out = []
 
     def extend(prefix, deg_left, len_left):
-        for l in letters:
-            d = l.degree
+        for c, d in letters:
             if d > deg_left:
                 continue
-            cur = prefix + (l,)
-            out.append(Word(cur))
+            cur = prefix + (c,)
+            out.append(cur)
             if len_left > 1:
                 extend(cur, deg_left - d, len_left - 1)
 
     if max_length >= 1:
         extend((), max_degree, max_length)
-    out.sort(key=lambda w: w.pro_length_key)
-    return out
+    out.sort(key=len)
+    return [_from_codes(codec, codes) for codes in out]
 
 
 def enumerate_lyndon(semigroup, max_degree, max_length=None):
@@ -183,7 +226,7 @@ def cfl_factorize(w):
             j += 1
         flen = j - k
         while i <= k:
-            factors.append(Word(w.letters[i:i + flen]))
+            factors.append(_from_codes(w.codec, w.codes[i:i + flen]))
             i += flen
     grouped = []
     for f in factors:
@@ -196,13 +239,11 @@ def cfl_factorize(w):
 
 def componentwise_p_power(w, p):
     """The letterwise power: each letter raised to the p-th inside S."""
-    powered = []
-    for l in w.letters:
-        lp = l ** p
-        if lp is None:
-            raise ValueError("letterwise power undefined: zero product")
-        powered.append(lp)
-    return Word(powered)
+    codec = w.codec
+    powered = tuple([codec.power(c, p) for c in w.codes])
+    if None in powered:
+        raise ValueError("letterwise power undefined: zero product")
+    return _from_codes(codec, powered)
 
 
 def is_p_power_image(w, p):

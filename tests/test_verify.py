@@ -685,6 +685,24 @@ def test_passing_spanning_check_runs_no_solve(monkeypatch):
             assert check_spanning(alg, degree).ok, (alg.ring, degree)
 
 
+def test_failing_spanning_check_factors_once(monkeypatch):
+    # x^2 alone reaches the one-letter word x^2 but not x(x)x; the first
+    # word out of reach is named from one factorization, not a solve per
+    # word
+    def refuse(*args):
+        raise AssertionError("the failure path solved word by word")
+
+    monkeypatch.setattr(Matrix, "solve", refuse)
+    f = FreeAbelian(["x"])
+    x = f.parse("x")
+    for ring in (Ring.rationals(), Ring.truncated_padic(3, 4)):
+        alg = PresentedAlgebra(ring, 1, f,
+                               [word_symbol(ring, 1, f, Word((x ** 2,)))],
+                               TensorPoly.unit(ring, 1, f))
+        assert cell_of(check_spanning(alg, 2)) == (
+            2, 2, 1, 1, False, "word x(x)x is not reachable"), ring
+
+
 def test_monomial_names_are_distinct_in_each_degree():
     F2 = Ring.prime_field(2)
     one_letter = lyndon_algebra(F2, 1, 6)

@@ -8,6 +8,7 @@ compares raw sort-key tuples and never calls the functions under test.
 """
 
 import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -16,6 +17,9 @@ from mixshuffle import (
     ElementaryPGroup,
     FreeAbelian,
     OrderedSet,
+    ProductSemigroup,
+    Ring,
+    TensorPoly,
     Unitarized,
     Word,
     cfl_factorize,
@@ -24,9 +28,11 @@ from mixshuffle import (
     enumerate_lyndon,
     enumerate_words,
     is_lyndon,
+    min_semilattice,
     operator_E,
     operator_T,
     standard_generating_sets,
+    semigroup_from_preset,
     subscript_split,
     tel2_orbit_check,
     word_compare,
@@ -238,3 +244,92 @@ def test_tel2_orbit_check():
     assert ok
     assert details == {"collisions": [], "orbit_not_in_tl2": [],
                        "tl2_not_in_orbit": []}
+
+
+# Word identity: a word is its letter codes under the one codec of its
+# alphabet, however it was built
+
+
+ALPHABETS = {
+    # a fresh alphabet object per call, equal to every other one it makes,
+    # and a weight at which its letters multiply
+    "free": (lambda: FreeAbelian(["x", "y"]), 1),
+    "mu": (lambda: semigroup_from_preset("mu:3,1"), 1),
+    "table": (lambda: min_semilattice(["a", "b", "c"]), 1),
+    "unitarized": (lambda: Unitarized(FreeAbelian(["x"])), 1),
+    "product": (lambda: ProductSemigroup(FreeAbelian(["x"]),
+                                         ElementaryPGroup(2, 1)), 1),
+    "set": (lambda: OrderedSet(["a", "b"]), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALPHABETS))
+def test_decoded_words_match_words_built_from_letters(name):
+    make, lam = ALPHABETS[name]
+    sg, twin = make(), make()
+    assert sg == twin and sg is not twin
+    words = enumerate_words(sg, 3, 3)
+    assert words == sorted(words, key=lambda w: w.pro_length_key)
+    Q = Ring.rationals()
+    u, v = words[len(words) // 3], words[-1]
+    product = TensorPoly(Q, lam, sg, {u: 1}) * TensorPoly(Q, lam, sg, {v: 2})
+    assert len(product.terms) > 1
+    for w, c in product.terms.items():
+        for rebuilt in (Word(w.letters),
+                        Word(twin.parse(l.name) for l in w.letters)):
+            assert rebuilt == w and not rebuilt != w
+            assert hash(rebuilt) == hash(w)
+            assert rebuilt.keys == w.keys
+            assert rebuilt.pro_length_key == w.pro_length_key
+            assert rebuilt.degree == w.degree == sum(l.degree
+                                                     for l in w.letters)
+            assert rebuilt.length == w.length == len(w.letters)
+            assert product.coefficient(rebuilt) == c
+    # JSON names the letters, so a decoded product survives a round trip
+    data = json.loads(json.dumps(product.to_json()))
+    back = TensorPoly.from_json(data)
+    assert back == product
+    assert back.to_json() == data
+
+
+def test_letterwise_powers_are_repeated_products():
+    for name in ("free", "mu", "table", "product"):
+        sg = ALPHABETS[name][0]()
+        for w in enumerate_words(sg, 3, 3):
+            for p in (2, 3, 5):
+                assert componentwise_p_power(w, p) == \
+                    Word(l ** p for l in w.letters), (name, w, p)
+
+
+def test_words_over_different_alphabets_are_different():
+    # two alphabets no other test uses, so each hands out code 0 first
+    a = FreeAbelian(["identity_test_a"])
+    b = OrderedSet(["identity_test_b"])
+    u = Word(a.elements_up_to(1))
+    v = Word(b.elements_up_to(1))
+    assert u.codes == v.codes
+    assert u != v and not u == v
+    assert len({u, v}) == 2
+    assert Word(a.elements_up_to(1)) == u
+
+
+def test_empty_words_are_equal_across_alphabets():
+    empties = [empty_word(), Word(())]
+    for name in sorted(ALPHABETS):
+        w = enumerate_words(ALPHABETS[name][0](), 2, 2)[-1]
+        empties += [w.suffix(w.length), w.tensor_power(0)]
+    for e in empties:
+        assert e == empty_word() and hash(e) == hash(empty_word())
+        assert e.letters == () and e.keys == () and e.degree == 0
+        assert e.display(True) == "1"
+    assert len(set(empties)) == 1
+
+
+def test_letters_from_unequal_alphabets_do_not_make_a_word():
+    x = FreeAbelian(["x"]).parse("x")
+    y = FreeAbelian(["y"]).parse("y")
+    with pytest.raises(ValueError):
+        Word((x, y))
+    with pytest.raises(ValueError):
+        Word((x,)).concat(Word((y,)))
+    assert Word((x,)).concat(empty_word()) == Word((x,))
