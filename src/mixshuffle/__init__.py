@@ -16,7 +16,7 @@ from .shuffle import TensorPoly, word_poly, shuffle_oracle, graded_basis, \
 from .rota_baxter import RBElement, alphabet_generators
 from .verify import ConfigurationError, VerificationReport, CellRecord, \
     CheckRecord, GeneratorSymbol, PresentedAlgebra, word_symbol, \
-    monomial_images, check_relations, check_independence, check_spanning, \
+    check_relations, check_independence, check_spanning, \
     verify_radford_hoffman, verify_fp_weight0, verify_fp_nonzero, \
     verify_zp, compute_cokernel_basis, verify_z_polynomial, \
     verify_nested_summand, verify_rb_structure, verify_semigroup_props
@@ -40,7 +40,7 @@ __all__ = [
     "eettl_representative",
     "RBElement", "alphabet_generators",
     "ConfigurationError", "VerificationReport", "CellRecord", "CheckRecord",
-    "GeneratorSymbol", "PresentedAlgebra", "word_symbol", "monomial_images",
+    "GeneratorSymbol", "PresentedAlgebra", "word_symbol",
     "check_relations", "check_independence", "check_spanning",
     "verify_radford_hoffman", "verify_fp_weight0", "verify_fp_nonzero",
     "verify_zp", "compute_cokernel_basis", "verify_z_polynomial",

@@ -20,7 +20,7 @@ from .semigroups import Unitarized, semigroup_from_preset
 from .words import Word, empty_word, enumerate_lyndon, cfl_factorize, \
     standard_generating_sets
 from .shuffle import word_poly
-from .rota_baxter import RBElement
+from .rota_baxter import RBElement, check_rb_identity
 from .verify import ConfigurationError, verify_radford_hoffman, \
     verify_fp_weight0, verify_fp_nonzero, verify_zp, verify_z_polynomial, \
     verify_rb_structure, verify_semigroup_props
@@ -332,11 +332,7 @@ def _cmd_rb_identity(args):
     for trial in range(args.trials):
         x = _random_rb(rng, ring, lam, monoid, deg, length)
         y = _random_rb(rng, ring, lam, monoid, deg, length)
-        px, py = x.operator_p(), y.operator_p()
-        left = px * py
-        right = (x * py).operator_p() + (px * y).operator_p() + \
-            (x * y).operator_p().scale(lam)
-        if left != right:
+        if not check_rb_identity(x, y)[0]:
             failures.append(trial)
     passed = not failures
     if args.format == "json":

@@ -8,9 +8,12 @@ provided; it multiplies to zero, which is the right reading for weight
 zero products (and for any weight, merged letters simply vanish).
 
 Elements are lightweight keys interpreted by their semigroup.  Orders are
-total; comparisons across different semigroups raise.  Each alphabet,
-up to equality, has one LetterCodec that numbers its letters with small
-ints; words and the product kernels work on those codes.
+total, and each alphabet defines its order once, as a tuple of ints per
+letter (sort_key_of); comparisons across different semigroups raise.
+Each alphabet, up to equality, has one LetterCodec that numbers its
+letters with small ints and tables their products and p-th powers; words
+and the product kernels work on those codes, and p_power_preimages and
+split_p_fixed read the power table.
 
 classify() tests, inside a degree window, the order/power compatibility
 conditions that the structure theorems key on:
@@ -81,7 +84,7 @@ class Element:
     def __lt__(self, other):
         if not isinstance(other, Element) or other.semigroup != self.semigroup:
             raise TypeError("cannot compare elements of different semigroups")
-        return self.semigroup.compare_keys(self.key, other.key) < 0
+        return self.sort_key < other.sort_key
 
     @property
     def sort_key(self):
@@ -201,11 +204,10 @@ def letter_codec(semigroup):
 class OrderedSemigroup:
     kind = None
 
-    # subclasses implement: multiply_keys, compare_keys, degree_key, name_key,
+    # subclasses implement: multiply_keys, sort_key_of, degree_key, name_key,
     # parse_letter, iter_keys(max_degree), descriptor, to_json
     has_identity = False
     identity_key = None
-    is_graded = False
     is_finite = False
     # this alphabet's LetterCodec, looked up on first use
     _codec = None
@@ -215,16 +217,8 @@ class OrderedSemigroup:
         return Element(self, self.identity_key) if self.has_identity else None
 
     def elements_up_to(self, max_degree):
-        keys = sorted(self.iter_keys(max_degree),
-                      key=functools.cmp_to_key(self.compare_keys))
+        keys = sorted(self.iter_keys(max_degree), key=self.sort_key_of)
         return [Element(self, k) for k in keys]
-
-    def multiply(self, a, b):
-        k = self.multiply_keys(a.key, b.key)
-        return None if k is None else Element(self, k)
-
-    def compare(self, a, b):
-        return self.compare_keys(a.key, b.key)
 
     def parse(self, text):
         return Element(self, self.parse_letter(text))
@@ -234,23 +228,26 @@ class OrderedSemigroup:
         return 0
 
     def sort_key_of(self, key):
-        """A tuple ordering exactly like compare_keys, for fast sorting.
+        """The tuple of ints that places this letter in the order.
 
-        Within one semigroup the tuples are aligned (uniform length per
-        leading tag), so Python's tuple order agrees with compare_keys.
+        This is the one definition of the alphabet's order: Element
+        comparisons and elements_up_to both read it.  Within one
+        semigroup no key is a proper prefix of another (uniform length
+        per leading tag), so a product alphabet that concatenates the
+        keys of its factors is ordered left factor first.
         """
         raise NotImplementedError
 
     def p_power_preimages(self, g, p):
         """All u with u^p == g.  Exhaustive: graded roots have degree
         deg(g)/p and finite slots contribute a bounded slack."""
+        if g.semigroup != self:
+            return []
+        codec = letter_codec(self)
+        target = g.code
         bound = max(g.degree + self.root_degree_slack(), 1)
-        out = []
-        for u in self.elements_up_to(bound):
-            up = u ** p
-            if up is not None and up == g:
-                out.append(u)
-        return out
+        return [u for u in self.elements_up_to(bound)
+                if codec.power(u.code, p) == target]
 
     def classify(self, p, degree_bound=4):
         tags = set()
@@ -292,10 +289,11 @@ class OrderedSemigroup:
 
     def split_p_fixed(self, p, degree_bound=4):
         """Partition the window into (fixed by g -> g^p, moved by it)."""
+        codec = letter_codec(self)
         fixed, moved = [], []
         for g in self.elements_up_to(degree_bound):
-            gp = g ** p
-            (fixed if gp == g else moved).append(g)
+            c = g.code
+            (fixed if codec.power(c, p) == c else moved).append(g)
         return fixed, moved
 
     def p_divisible(self, p, degree_bound=4, rounds=None):
@@ -361,7 +359,6 @@ class FreeAbelian(OrderedSemigroup):
     """
 
     kind = "free_abelian"
-    is_graded = True
 
     def __init__(self, generators):
         self.generators = tuple(generators)
@@ -373,15 +370,6 @@ class FreeAbelian(OrderedSemigroup):
 
     def degree_key(self, k):
         return sum(k)
-
-    def compare_keys(self, k1, k2):
-        d1, d2 = sum(k1), sum(k2)
-        if d1 != d2:
-            return -1 if d1 < d2 else 1
-        for a, b in zip(k1, k2):
-            if a != b:
-                return -1 if a > b else 1
-        return 0
 
     def sort_key_of(self, k):
         return (sum(k),) + tuple(-e for e in k)
@@ -415,8 +403,7 @@ class FreeAbelian(OrderedSemigroup):
         if n == 0:
             return
         for d in range(1, max_degree + 1):
-            for key in _compositions_with_zeros(d, n):
-                yield key
+            yield from _compositions(d, n)
 
     def generator_elements(self):
         out = []
@@ -436,7 +423,6 @@ class OrderedSet(OrderedSemigroup):
     """A bare well-ordered alphabet; all products are zero."""
 
     kind = "ordered_set"
-    is_graded = True
 
     def __init__(self, letters):
         self.letters = tuple(letters)
@@ -448,9 +434,6 @@ class OrderedSet(OrderedSemigroup):
 
     def degree_key(self, k):
         return 1
-
-    def compare_keys(self, k1, k2):
-        return (k1 > k2) - (k1 < k2)
 
     def sort_key_of(self, k):
         return (k,)
@@ -524,10 +507,6 @@ class FiniteTableSemigroup(OrderedSemigroup):
     def degree_key(self, k):
         return 0 if k == self._identity else 1
 
-    def compare_keys(self, k1, k2):
-        r1, r2 = self.rank_of[k1], self.rank_of[k2]
-        return (r1 > r2) - (r1 < r2)
-
     def sort_key_of(self, k):
         return (self.rank_of[k],)
 
@@ -572,9 +551,6 @@ class ElementaryPGroup(OrderedSemigroup):
 
     def degree_key(self, k):
         return 0 if k == self.identity_key else 1
-
-    def compare_keys(self, k1, k2):
-        return (k1 > k2) - (k1 < k2)
 
     def sort_key_of(self, k):
         return k
@@ -632,10 +608,6 @@ class Unitarized(OrderedSemigroup):
         self.inner = inner
 
     @property
-    def is_graded(self):
-        return self.inner.is_graded
-
-    @property
     def is_finite(self):
         return self.inner.is_finite
 
@@ -653,13 +625,6 @@ class Unitarized(OrderedSemigroup):
         d = self.inner.degree_key(k[1])
         # an inner quasi-identity is not the identity here, so it counts
         return d if d >= 1 else 1
-
-    def compare_keys(self, k1, k2):
-        if k1 == self.identity_key:
-            return 0 if k2 == self.identity_key else -1
-        if k2 == self.identity_key:
-            return 1
-        return self.inner.compare_keys(k1[1], k2[1])
 
     def sort_key_of(self, k):
         if k == self.identity_key:
@@ -701,10 +666,6 @@ class ProductSemigroup(OrderedSemigroup):
         self.right = right
 
     @property
-    def is_graded(self):
-        return self.left.is_graded and self.right.is_graded
-
-    @property
     def is_finite(self):
         return self.left.is_finite and self.right.is_finite
 
@@ -723,10 +684,6 @@ class ProductSemigroup(OrderedSemigroup):
 
     def degree_key(self, k):
         return self.left.degree_key(k[0]) + self.right.degree_key(k[1])
-
-    def compare_keys(self, k1, k2):
-        c = self.left.compare_keys(k1[0], k2[0])
-        return c if c != 0 else self.right.compare_keys(k1[1], k2[1])
 
     def sort_key_of(self, k):
         return self.left.sort_key_of(k[0]) + self.right.sort_key_of(k[1])
@@ -760,14 +717,19 @@ class ProductSemigroup(OrderedSemigroup):
                 "right": self.right.to_json()}
 
 
-def _compositions_with_zeros(total, slots):
-    """All tuples of `slots` nonnegative ints summing to total."""
-    if slots == 1:
+def _compositions(total, parts):
+    """All tuples of `parts` nonnegative ints summing to total, in
+    lexicographic order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
         yield (total,)
         return
-    for first in range(total + 1):
-        for rest in _compositions_with_zeros(total - first, slots - 1):
-            yield (first,) + rest
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head,) + rest
 
 
 def cyclic_group_table(n):

@@ -42,8 +42,9 @@ import math
 from fractions import Fraction
 
 from .rings import Q, Ring
-from .semigroups import OrderedSemigroup, letter_codec
-from .words import Word, _from_codes, empty_word
+from .semigroups import OrderedSemigroup, _compositions, letter_codec
+from .words import Word, _from_codes, cfl_factorize, componentwise_p_power, \
+    empty_word, enumerate_words
 
 
 def _accumulate(acc, ring, letters, coeff):
@@ -590,19 +591,6 @@ class TensorPoly(Combination):
             functools.partial(_from_codes, codec)))
 
 
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def _multinomial(k, alpha):
     out = 1
     rem = k
@@ -680,7 +668,6 @@ def graded_basis(semigroup, degree, max_length=None):
     Alphabets with an identity letter have infinitely many words per
     degree and need the length bound.
     """
-    from .words import enumerate_words
     words = [w for w in enumerate_words(semigroup, degree, max_length)
              if w.degree == degree]
     if degree == 0:
@@ -696,7 +683,6 @@ def eettl_representative(ring, lam, semigroup, word, p):
     moved by the letterwise power map qualify; these differences generate
     the nilpotent factor in the split structure over F_p.
     """
-    from .words import cfl_factorize, componentwise_p_power, is_lyndon
     factors = cfl_factorize(word)
     if len(factors) != 1:
         raise ValueError("not a tensor power of a single Lyndon word")

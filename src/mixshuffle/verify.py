@@ -343,11 +343,6 @@ class PresentedAlgebra:
         return list(self.monomials_by_degree(degree).get(degree, []))
 
 
-def monomial_images(algebra, degree):
-    """The evaluated relation-admissible monomials of one degree."""
-    return [image for _, image in algebra.monomials(degree)]
-
-
 def check_relations(algebra, max_length=None):
     """Verify declared generator relations on their images.
 

@@ -162,6 +162,20 @@ def test_rb_identity_json():
     assert data == {"trials": 4, "seed": 1, "failures": [], "passed": True}
 
 
+def test_rb_identity_failure_exits_1(monkeypatch):
+    calls = []
+
+    def fails_second_trial(x, y):
+        calls.append((x, y))
+        return len(calls) != 2, None
+
+    monkeypatch.setattr("mixshuffle.cli.check_rb_identity", fails_second_trial)
+    rc, out, _ = run("rb", "check-identity", "--trials", "3", "--seed", "3")
+    assert rc == 1
+    assert out == "operator identity: 3 trials, seed 3: FAIL at [1]\n"
+    assert len(calls) == 3
+
+
 # failure modes
 
 

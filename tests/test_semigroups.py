@@ -159,6 +159,80 @@ def test_p_power_preimages():
     x = f.parse("x")
     assert [e.name for e in f.p_power_preimages(x ** 2, 2)] == ["x"]
     assert f.p_power_preimages(x, 2) == []
+    # codes are numbered per alphabet, so a letter of another alphabet can
+    # carry the very code of x^2 here
+    other = FreeAbelian(["foreign_u"])
+    h = next(h for h in other.elements_up_to((x ** 2).code + 1)
+             if h.code == (x ** 2).code)
+    assert f.p_power_preimages(h, 2) == []
+
+
+# the order: each alphabet defines it once, so these lists are written out
+# by hand
+
+
+ORDERED = [
+    (FreeAbelian(["x", "y"]), 3,
+     ["x", "y", "x^2", "x*y", "y^2", "x^3", "x^2*y", "x*y^2", "y^3"]),
+    (OrderedSet(["b", "a", "c"]), 1, ["b", "a", "c"]),
+    (FiniteTableSemigroup([[0, 0, 0], [0, 1, 1], [0, 1, 2]], order=[2, 0, 1],
+                          names=["a", "b", "c"]), 1, ["c", "a", "b"]),
+    (semigroup_from_preset("mu:3,2"), 1,
+     ["e", "g2", "g2^2", "g1", "g1*g2", "g1*g2^2", "g1^2", "g1^2*g2",
+      "g1^2*g2^2"]),
+    (Unitarized(FreeAbelian(["x", "y"])), 2,
+     ["1", "x", "y", "x^2", "x*y", "y^2"]),
+    # sort keys of lengths 2 (left factor 1) and 4
+    (ProductSemigroup(Unitarized(FreeAbelian(["x"])),
+                      semigroup_from_preset("mu:2,1")), 2,
+     ["(1,e)", "(1,g)", "(x,e)", "(x,g)", "(x^2,e)"]),
+]
+
+
+@pytest.mark.parametrize("sg, degree, names", ORDERED,
+                         ids=[sg.kind for sg, _, _ in ORDERED])
+def test_order_is_pinned(sg, degree, names):
+    elems = sg.elements_up_to(degree)
+    assert [e.name for e in elems] == names
+    assert sorted(reversed(elems)) == elems
+    assert sorted(sg.parse(n) for n in reversed(names)) == elems
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            assert (a < b) == (i < j)
+            assert (a <= b) == (i <= j)
+
+
+def test_order_across_semigroup_objects():
+    x = FreeAbelian(["x", "y"]).parse("x")
+    y = FreeAbelian(["x", "y"]).parse("y")
+    assert x < y and not y < x
+    with pytest.raises(TypeError):
+        x < FreeAbelian(["y", "x"]).parse("y")
+    with pytest.raises(TypeError):
+        x < Unitarized(FreeAbelian(["x", "y"])).parse("y")
+    with pytest.raises(TypeError):
+        x < "y"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_power_table_matches_repeated_products(p):
+    # oracle: Element.__pow__ over a window wider than any root can reach;
+    # with two finite slots, roots of (e,e) have degree up to 2
+    mu2 = semigroup_from_preset("mu:2,1")
+    for sg in [sg for sg, _, _ in ORDERED] + [ProductSemigroup(mu2, mu2)]:
+        window = sg.elements_up_to(4)
+        for bound in range(5):
+            fixed, moved = sg.split_p_fixed(p, bound)
+            scan = sg.elements_up_to(bound)
+            assert fixed == [g for g in scan if g ** p == g]
+            assert moved == [g for g in scan if g ** p != g]
+        targets = list(window)
+        targets += [u ** p for u in sg.elements_up_to(2)
+                    if u ** p is not None and u ** p not in targets]
+        for g in targets:
+            wide = sg.elements_up_to(g.degree + 2)
+            assert sg.p_power_preimages(g, p) == \
+                [u for u in wide if u ** p == g]
 
 
 # presets and serialization
