@@ -110,7 +110,12 @@ def _resolve_ring(args):
         raise ConfigurationError("--ring %s needs --p" % args.ring)
     if args.ring == "Fp":
         return Ring.prime_field(args.p)
-    return Ring.truncated_padic(args.p, args.precision or 6)
+    return Ring.truncated_padic(args.p, _precision(args))
+
+
+def _precision(args):
+    # an explicit precision is used as given, so 0 is refused downstream
+    return 6 if args.precision is None else args.precision
 
 
 def _resolve_weight(args, default="0"):
@@ -242,7 +247,7 @@ def _run_verification(args):
     if theorem == "isomor":
         _need_p(args)
         return verify_zp(semigroup_from_preset(args.sg), args.p,
-                         args.precision or 6, weight, deg)
+                         _precision(args), weight, deg)
     if theorem == "intfr":
         return verify_z_polynomial(semigroup_from_preset(args.sg), weight,
                                    deg)

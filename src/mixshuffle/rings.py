@@ -222,16 +222,39 @@ class Ring:
 # p-adic utilities
 
 
+# Miller-Rabin with the first 13 prime bases decides primality for every
+# n below this bound (Sorenson and Webster, Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n):
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        d = _MR_BASES[-1] + 2
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -710,58 +733,70 @@ def elementary_divisors(columns):
     return divisors
 
 
+def _subtract(target, row, f, mod):
+    """target -= f * row on sparse vectors over a field, reduced mod `mod`
+    when it is not None; entries that vanish are dropped."""
+    get = target.get
+    for k, v in row.items():
+        nv = get(k, 0) - f * v
+        if mod is not None:
+            nv %= mod
+        if nv:
+            target[k] = nv
+        else:
+            del target[k]
+
+
 class SparseEliminator:
     """Incremental Gaussian elimination over a field, on sparse vectors.
 
-    Vectors are dicts mapping hashable keys to nonzero field values.  Keys
-    are ordered by the key_sort function (largest pivot first).  Supports
-    rank queries, membership of a vector in the accumulated span, and
-    optional tracking of the expressing combination.
+    Vectors are dicts mapping keys to nonzero field values.  The leading
+    key of a vector is its largest one, by key_order when one is given
+    and by the keys' own order otherwise (integer keys compare fastest).
+    Over a prime field entries may be any ints: they are reduced mod p as
+    they come in, and the elimination reduces inline.  Supports rank
+    queries, membership of a vector in the accumulated span, and optional
+    tracking of the expressing combination.
     """
 
     def __init__(self, ring, key_order=None, track=False):
         if not ring.is_field:
             raise ValueError("SparseEliminator needs a field")
         self.ring = ring
-        self.key_order = key_order or (lambda k: k)
+        self.key_order = key_order
         self.track = track
         self.pivots = {}
         self.combos = {}
         self.count = 0
 
-    def _leading(self, vec):
-        return max(vec, key=self.key_order)
+    def _clean(self, vec):
+        R = self.ring
+        mod = R.modulus
+        if mod is None:
+            return {k: R.of(v) for k, v in vec.items() if v != 0}
+        return {k: r for k, v in vec.items()
+                if (r := (v if type(v) is int else R.of(v)) % mod)}
 
     def _reduce(self, vec, combo=None):
-        R = self.ring
-        vec = dict(vec)
+        mod = self.ring.modulus
+        order = self.key_order
+        pivots = self.pivots
         while vec:
-            lead = self._leading(vec)
-            if lead not in self.pivots:
+            lead = max(vec) if order is None else max(vec, key=order)
+            piv = pivots.get(lead)
+            if piv is None:
                 return vec, lead, combo
             f = vec[lead]
-            piv = self.pivots[lead]
-            for k, v in piv.items():
-                nv = R.sub(vec.get(k, R.zero), R.mul(f, v))
-                if nv == 0:
-                    vec.pop(k, None)
-                else:
-                    vec[k] = nv
+            _subtract(vec, piv, f, mod)
             if combo is not None:
-                for idx, v in self.combos[lead].items():
-                    nv = R.sub(combo.get(idx, R.zero), R.mul(f, v))
-                    if nv == 0:
-                        combo.pop(idx, None)
-                    else:
-                        combo[idx] = nv
+                _subtract(combo, self.combos[lead], f, mod)
         return vec, None, combo
 
     def insert(self, vec, tag=None):
         """Insert a vector; returns True when it enlarged the span."""
         R = self.ring
-        vec = {k: R.of(v) for k, v in vec.items() if v != 0}
         combo = {tag: R.one} if self.track else None
-        vec, lead, combo = self._reduce(vec, combo)
+        vec, lead, combo = self._reduce(self._clean(vec), combo)
         if not vec:
             return False
         inv = R.inverse(vec[lead])
@@ -772,8 +807,7 @@ class SparseEliminator:
         return True
 
     def contains(self, vec):
-        vec = {k: self.ring.of(v) for k, v in vec.items() if v != 0}
-        vec, _, _ = self._reduce(vec)
+        vec, _, _ = self._reduce(self._clean(vec))
         return not vec
 
     def express(self, vec):
@@ -781,9 +815,7 @@ class SparseEliminator:
         if not self.track:
             raise ValueError("eliminator built without combination tracking")
         R = self.ring
-        vec = {k: R.of(v) for k, v in vec.items() if v != 0}
-        combo = {}
-        vec, _, combo = self._reduce(vec, combo)
+        vec, _, combo = self._reduce(self._clean(vec), {})
         if vec:
             return None
         return {k: R.neg(v) for k, v in combo.items()}

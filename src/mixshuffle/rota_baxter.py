@@ -42,6 +42,15 @@ class RBElement(Combination):
         return (tail.pro_length_key, head.sort_key)
 
     @staticmethod
+    def code_key(key):
+        head, tail = key
+        return head.code, tail.codes
+
+    @staticmethod
+    def key_of_code(codec, key):
+        return codec.elements[key[0]], _from_codes(codec, key[1])
+
+    @staticmethod
     def _key_text(key, ascii_mode):
         head, tail = key
         body = head.name if ascii_mode else _pretty_name(head.name)
@@ -80,10 +89,10 @@ class RBElement(Combination):
         self._check(other)
         R = self.ring
         codec = memo_codec(memo, R, self.lam, self.semigroup)
-        left = [(h.code, t.codes, c) for (h, t), c in self.terms.items()]
-        right = [(h.code, t.codes, c) for (h, t), c in other.terms.items()]
+        (left, dx), (right, dy) = self._code_items(), other._code_items()
         acc, den = shuffle_sum(R, self.lam, codec, memo, left, right,
                                heads=True)
+        den *= dx * dy
         terms = {}
         for h, raw in acc.items():
             head = codec.elements[h]

@@ -24,8 +24,11 @@ LetterCodec, words are the code tuples that Word objects already hold,
 and coefficients are plain integers: the number of ways to reach a word,
 reduced mod the ring's modulus when it has one.  A word with k merged
 slots carries lambda^k, which depends on its length alone, so the weight
-and the input coefficients are applied once per result word.  Each
-result word becomes one Word around its code tuple; no letter is
+and the input coefficients are applied once per result word.
+shuffle_sum takes its operands in that integer code form, so the
+structure verifiers multiply monomial images without leaving it; the
+products of TensorPoly and RBElement convert their operands once, and
+each result word becomes one Word around its code tuple, with no letter
 decoded until something asks for it.
 
 Powers are not computed by repeated binary products.  A k-fold shuffle
@@ -315,27 +318,25 @@ def ring_values(ring, raw, den, key_of):
 
 
 def shuffle_sum(ring, lam, codec, memo, left, right, heads=False):
-    """Sum of a*b times the product of u and v, over (h, u, a) in left
-    and (g, v, b) in right, with u, v code tuples.
+    """Sum of x*y times the product of u and v, over ((h, u), x) in left
+    and ((g, v), y) in right, with u, v code tuples and x, y integers.
 
     With heads, h and g are letter codes that multiply in the semigroup
     and each product is filed under h*g; otherwise they are None.
-    Returns ({head: {code tuple: integer}}, den): the ring value of each
-    word is its integer over den.
+    Returns ({head: {code tuple: integer}}, den): the sum is each integer
+    over den, a power of the denominator of lam.
     """
     if not left or not right:
         return {}, 1
     merge = not ring.is_zero(lam)
     mod = ring.modulus
-    xs, dx = _integral([a for _, _, a in left])
-    ys, dy = _integral([b for _, _, b in right])
     top = 0
     if merge:
-        top = min(max(len(u) for _, u, _ in left),
-                  max(len(v) for _, v, _ in right))
+        top = min(max(len(u) for (_, u), _ in left),
+                  max(len(v) for (_, v), _ in right))
     acc = {}
-    for (h, u, _), x in zip(left, xs):
-        for (g, v, _), y in zip(right, ys):
+    for (h, u), x in left:
+        for (g, v), y in right:
             head = None
             if heads:
                 head = codec.multiply(h, g)
@@ -353,7 +354,7 @@ def shuffle_sum(ring, lam, codec, memo, left, right, heads=False):
                 get = bucket.get
                 for t, c in counts.items():
                     bucket[t] = get(t, 0) + w[size - len(t)] * c
-    return acc, dx * dy * lam.denominator ** top
+    return acc, lam.denominator ** top
 
 
 class Combination:
@@ -366,6 +367,11 @@ class Combination:
     lists terms in descending order or not, writes one key as text and
     JSON, and defines its own product as mul_shared.  Operands of two
     different subclasses never combine.
+
+    The code form of the terms is what the product kernels read and
+    write: code_key turns a key into (head code or None, code tuple),
+    key_of_code turns it back, and the values become integer numerators
+    over one denominator.
     """
 
     __slots__ = ("ring", "lam", "semigroup", "terms")
@@ -395,6 +401,26 @@ class Combination:
 
     def _like(self, terms):
         return self._canonical(self.ring, self.lam, self.semigroup, terms)
+
+    def _code_items(self):
+        """[(code key, integer)] for the terms, and the one denominator
+        the integers are over."""
+        nums, den = _integral(list(self.terms.values()))
+        return list(zip(map(self.code_key, self.terms), nums)), den
+
+    def code_form(self):
+        """The terms in code form: ({code key: integer}, den), each value
+        its integer over den."""
+        items, den = self._code_items()
+        return dict(items), den
+
+    @classmethod
+    def from_code_form(cls, ring, lam, semigroup, form):
+        """The element with these terms in code form (see code_form)."""
+        terms, den = form
+        key_of = functools.partial(cls.key_of_code, letter_codec(semigroup))
+        return cls._canonical(ring, ring.of(lam), semigroup,
+                              ring_values(ring, terms, den, key_of))
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -504,6 +530,14 @@ class TensorPoly(Combination):
         return word.pro_length_key
 
     @staticmethod
+    def code_key(word):
+        return None, word.codes
+
+    @staticmethod
+    def key_of_code(codec, key):
+        return _from_codes(codec, key[1])
+
+    @staticmethod
     def _key_text(word, ascii_mode):
         return word.display(ascii_mode)
 
@@ -549,10 +583,9 @@ class TensorPoly(Combination):
         self._check(other)
         R = self.ring
         codec = memo_codec(memo, R, self.lam, self.semigroup)
-        left = [(None, w.codes, c) for w, c in self.terms.items()]
-        right = [(None, w.codes, c) for w, c in other.terms.items()]
+        (left, dx), (right, dy) = self._code_items(), other._code_items()
         acc, den = shuffle_sum(R, self.lam, codec, memo, left, right)
-        return self._like(ring_values(R, acc.get(None, {}), den,
+        return self._like(ring_values(R, acc.get(None, {}), dx * dy * den,
                                       functools.partial(_from_codes, codec)))
 
     def shuffle_power(self, k):

@@ -18,6 +18,17 @@ algebra.  What "comparison" means depends on the coefficient ring:
   square system of full rank mod p has unit determinant and stays a basis
   at any precision.
 
+Monomial images stay in the integer code form of the product kernels
+(letter-code keys, integer numerators over one denominator) from their
+generators to the cells.  Each cell driver sorts its window's rows once
+and keys every column by row rank, so the eliminators hash and compare
+plain ints.  Over Q a cell is first eliminated mod the 61-bit prime
+P = 2^61 - 1: a minor that is nonzero mod P is nonzero over Q, so a full
+rank mod P certifies the cell, and only a deficient one is eliminated
+again exactly, with tracking where a counterexample is to be named.
+Over F_p the same untracked pass runs mod p.  Words and elements are
+decoded only for notes, counterexamples and the public accessors.
+
 One helper computes the rank of a cell for every ring (and over Z its
 elementary divisors); the spanning check reads its verdict off that rank
 and solves for single words only when a cell fails, to name the first
@@ -42,7 +53,8 @@ from .words import Word, empty_word, enumerate_words, enumerate_lyndon, \
     operator_T, standard_generating_sets, tel2_orbit_check, \
     componentwise_p_power
 from .shuffle import TensorPoly, word_poly, graded_basis, \
-    eettl_representative, length_rescale, with_weight
+    eettl_representative, length_rescale, memo_codec, shuffle_sum, \
+    with_weight
 from .rota_baxter import RBElement, alphabet_generators
 
 
@@ -57,6 +69,12 @@ def _require(cond, message):
 
 def _require_prime(p):
     _require(isinstance(p, int) and _is_prime(p), "p must be a prime number")
+
+
+def _require_bounds(degree_bound, length_bound=None):
+    _require(degree_bound >= 0, "the degree bound must not be negative")
+    _require(length_bound is None or length_bound >= 0,
+             "the length bound must not be negative")
 
 
 def _weight_str(weight):
@@ -235,9 +253,14 @@ class PresentedAlgebra:
     push individual image terms below that bucket but never above it, and
     the leading (merge-free) term always sits exactly at it, so bucket
     counts are the right accounting.  When a length bound is given the
-    additive leading-length budget prunes the same way.  Generator powers
-    and the shuffle memo are cached on the instance, so evaluating all
-    monomials of a window shares almost all of the work.
+    additive leading-length budget prunes the same way.
+
+    Images are kept in the code form of Combination.code_form and
+    multiplied straight through shuffle_sum, so enumerating monomials
+    builds no Word, Fraction or element; monomials and power_of decode
+    what they return.  Generator images and powers and the shuffle memo
+    are cached on the instance, so evaluating all monomials of a window
+    shares almost all of the work.
     """
 
     def __init__(self, ring, weight, semigroup, generators, unit,
@@ -253,31 +276,61 @@ class PresentedAlgebra:
                 raise ConfigurationError(
                     "generator %s has degree 0; a length bound is required"
                     % g.name)
+            unit._check(g.image)
             if isinstance(g.image, TensorPoly) \
                     and g.image.max_degree() != g.degree:
                 raise ValueError("symbol degree of %s differs from its image"
                                  % g.name)
+        self._images = None
         self._powers = {}
         self._memo = {}
+        self._codec = memo_codec(self._memo, ring, unit.lam, semigroup)
         self._buckets = {}
 
-    def _mul(self, a, b):
-        return a.mul_shared(b, self._memo)
+    def _image(self, index):
+        if self._images is None:
+            self._images = [g.image.code_form() for g in self.generators]
+        return self._images[index]
 
-    def power_of(self, index, exponent):
+    def multiply(self, a, b):
+        """The product of two images in code form, in code form."""
+        ring = self.ring
+        (left, da), (right, db) = a, b
+        acc, den = shuffle_sum(ring, self.unit.lam, self._codec, self._memo,
+                               left.items(), right.items(),
+                               heads=isinstance(self.unit, RBElement))
+        mod = ring.modulus
+        terms = {}
+        for h, bucket in acc.items():
+            if mod is None:
+                terms.update({(h, t): x for t, x in bucket.items() if x})
+            else:
+                terms.update({(h, t): r for t, x in bucket.items()
+                              if (r := x % mod)})
+        return terms, den * da * db
+
+    def decode(self, form):
+        """The element with this image in code form."""
+        return type(self.unit).from_code_form(self.ring, self.unit.lam,
+                                              self.semigroup, form)
+
+    def _power(self, index, exponent):
         if exponent == 0:
-            return self.unit
+            return self.unit.code_form()
         key = (index, exponent)
         got = self._powers.get(key)
         if got is None:
-            got = self._mul(self.power_of(index, exponent - 1),
-                            self.generators[index].image)
+            got = self.multiply(self._power(index, exponent - 1),
+                                self._image(index))
             self._powers[key] = got
         return got
 
+    def power_of(self, index, exponent):
+        return self.decode(self._power(index, exponent))
+
     def monomials_by_degree(self, degree_bound):
         """All admissible monomials with total symbol degree <= the bound,
-        bucketed by that degree, each as (name, image).
+        bucketed by that degree, each as (name, image in code form).
 
         A name joins generator powers with "*", as g or g^e; a generator
         name that is neither a bare identifier nor one bracket group is
@@ -313,22 +366,22 @@ class PresentedAlgebra:
         # depth-first over exponent choices, generator by generator: the
         # exponent 0 branch first, then 1, 2, ...; generators that do not
         # fit even once are passed over without nodes of their own
-        stack = [(0, 0, 0, (), self.unit)]
+        stack = [(0, 0, 0, (), self.unit.code_form())]
         while stack:
-            i, deg_used, len_used, parts, poly = stack.pop()
+            i, deg_used, len_used, parts, form = stack.pop()
             row = skip[degree_bound - deg_used]
             i = row[i]
             while i < len(gens) and not fits(gens[i], 1, deg_used, len_used):
                 i = row[i + 1]
             if i == len(gens):
-                buckets[deg_used].append(("*".join(parts) or "1", poly))
+                buckets[deg_used].append(("*".join(parts) or "1", form))
                 continue
             g = gens[i]
-            children = [(i + 1, deg_used, len_used, parts, poly)]
+            children = [(i + 1, deg_used, len_used, parts, form)]
             e = 1
-            cur = poly
+            cur = form
             while fits(g, e, deg_used, len_used):
-                cur = self._mul(cur, g.image)
+                cur = self.multiply(cur, self._image(i))
                 label = labels[i] if e == 1 else "%s^%d" % (labels[i], e)
                 children.append((i + 1, deg_used + e * g.degree,
                                  len_used + e * g.lead_length,
@@ -340,7 +393,8 @@ class PresentedAlgebra:
 
     def monomials(self, degree):
         """(name, image) pairs for the monomials of this exact degree."""
-        return list(self.monomials_by_degree(degree).get(degree, []))
+        return [(name, self.decode(form)) for name, form
+                in self.monomials_by_degree(degree).get(degree, [])]
 
 
 def check_relations(algebra, max_length=None):
@@ -384,39 +438,73 @@ def check_relations(algebra, max_length=None):
 # linear algebra drivers
 
 
-def _window_check(window, cols):
-    """The columns whose keys all lie in the window, and a note naming the
+# Over Q a cell is certified by its rank mod this prime: a minor that is
+# nonzero mod P is nonzero over Q, so full rank mod P is full rank
+_CERTIFYING_FIELD = Ring.prime_field(2 ** 61 - 1)
+
+
+def _modular_field(ring):
+    """The prime field a cell over this ring is first eliminated in."""
+    if ring.kind == "Q":
+        return _CERTIFYING_FIELD
+    return ring if ring.is_field else Ring.prime_field(ring.p)
+
+
+def _ranks(kind, rows):
+    """The code key of each row (a key of kind, TensorPoly or RBElement)
+    mapped to the row's place in ascending kind.key_order: integer keys
+    that order like the rows."""
+    return {kind.code_key(r): i
+            for i, r in enumerate(sorted(rows, key=kind.key_order))}
+
+
+def _ranked(rank, cols):
+    """The columns, (name, image in code form), whose keys all lie in the
+    window, each as (name, {rank: integer}, den), and a note naming the
     first column that leaves it (None when none does)."""
     inside = []
     note = None
-    for name, vec in cols:
-        if window.issuperset(vec):
-            inside.append((name, vec))
-        elif note is None:
-            note = "image of %s leaves the window" % name
+    for name, (terms, den) in cols:
+        try:
+            inside.append((name, {rank[k]: x for k, x in terms.items()},
+                           den))
+        except KeyError:
+            if note is None:
+                note = "image of %s leaves the window" % name
     return inside, note
 
 
-def _cell_rank(ring, key_order, vectors):
-    """Rank of the matrix with these sparse columns, and over Z its nonzero
-    elementary divisors (None over the other rings).
+def _field_values(vec, den):
+    """The field values of a column held as integers over den."""
+    if den == 1:
+        return vec
+    return {k: Fraction(x, den) for k, x in vec.items()}
 
-    Over Z/p^N the rank is taken after reduction mod p, which by
-    Nakayama's lemma decides both spanning and independence over Z/p^N at
-    every precision N.
+
+def _rank(field, vectors):
+    elim = SparseEliminator(field)
+    for vec in vectors:
+        elim.insert(vec)
+    return elim.rank
+
+
+def _cell_rank(ring, vectors):
+    """Rank of the matrix with these sparse integer columns, and over Z its
+    nonzero elementary divisors (None over the other rings).
+
+    A column over Q is given by its numerators over one denominator, which
+    scales it by a unit.  The rank is taken mod a prime: mod p over F_p,
+    and over Z/p^N too, where by Nakayama's lemma it decides both
+    spanning and independence at every precision N; over Q mod P, where
+    only a rank below full is recomputed exactly.
     """
     if ring.kind == "Z":
         divisors = elementary_divisors(vectors)
         return len(divisors), divisors
-    field = ring
-    if not ring.is_field:
-        field = Ring.prime_field(ring.p)
-        vectors = [{k: r for k, c in vec.items() if (r := c % ring.p)}
-                   for vec in vectors]
-    elim = SparseEliminator(field, key_order)
-    for vec in vectors:
-        elim.insert(vec)
-    return elim.rank, None
+    rank = _rank(_modular_field(ring), vectors)
+    if ring.kind == "Q" and rank < len(vectors):
+        rank = _rank(ring, vectors)
+    return rank, None
 
 
 def _dependency(elim, name, vec):
@@ -427,28 +515,37 @@ def _dependency(elim, name, vec):
     return "%s = %s" % (name, " + ".join(parts) or "0")
 
 
-def _filtered_cells(report, field, key_order, rows_by_degree, cols_by_degree):
+def _filtered_cells(report, field, kind, rows_by_degree, cols_by_degree):
     """Cumulative full-rank certification over a field.
 
     Columns are inserted in ascending degree; because merges never raise
     degree, the final square full-rank system certifies a basis of the
-    whole window even when individual images straddle degrees.
+    whole window even when individual images straddle degrees.  One
+    untracked elimination mod a prime (P over Q, p over F_p) certifies a
+    run in which every column enlarges the span; a run with a dependent
+    column is eliminated again exactly, with tracking, to name it.
     """
-    elim = SparseEliminator(field, key_order, track=True)
-    window = set()
-    for keys in rows_by_degree.values():
-        window.update(keys)
+    rank = _ranks(kind, [r for rows in rows_by_degree.values() for r in rows])
     degrees = sorted(set(rows_by_degree) | set(cols_by_degree))
-    for n in degrees:
+    ranked = [(n,) + _ranked(rank, cols_by_degree.get(n, []))
+              for n in degrees]
+    fast = SparseEliminator(_modular_field(field))
+    exact = None
+    if not all(fast.insert(vec) for _, inside, _ in ranked
+               for _, vec, _ in inside):
+        exact = SparseEliminator(field, track=True)
+    for n, inside, note in ranked:
         dim = len(rows_by_degree.get(n, ()))
         cols = cols_by_degree.get(n, [])
-        inside, note = _window_check(window, cols)
-        increment = 0
-        for name, vec in inside:
-            if elim.insert(vec, tag=name):
-                increment += 1
-            elif report.counterexample is None:
-                report.counterexample = _dependency(elim, name, vec)
+        increment = len(inside)
+        if exact is not None:
+            increment = 0
+            for name, vec, den in inside:
+                vec = _field_values(vec, den)
+                if exact.insert(vec, tag=name):
+                    increment += 1
+                elif report.counterexample is None:
+                    report.counterexample = _dependency(exact, name, vec)
         ok = (dim == len(cols) == increment) and note is None
         if not ok and note is None:
             note = "dimension %d, monomials %d, new rank %d" % (
@@ -457,7 +554,7 @@ def _filtered_cells(report, field, key_order, rows_by_degree, cols_by_degree):
             CellRecord(n, dim, len(cols), increment, ok, note))
 
 
-def _square_cells(ring, key_order, rows_by_degree, cols_by_degree):
+def _square_cells(ring, kind, rows_by_degree, cols_by_degree):
     """Per-degree basis certification over Z or Z/p^N.
 
     Each degree needs as many monomials as words, of full rank: over Z
@@ -473,10 +570,9 @@ def _square_cells(ring, key_order, rows_by_degree, cols_by_degree):
         if ring.kind == "Z" and len(keys) != len(cols):
             note = "non-square system"
         else:
-            _, note = _window_check(set(keys), cols)
+            inside, note = _ranked(_ranks(kind, keys), cols)
         if note is None:
-            rank, divisors = _cell_rank(ring, key_order,
-                                        [vec for _, vec in cols])
+            rank, divisors = _cell_rank(ring, [vec for _, vec, _ in inside])
             if divisors is None:
                 if not len(keys) == len(cols) == rank:
                     note = "determinant not a unit"
@@ -507,17 +603,17 @@ def check_independence(algebra, degree):
     Z/p^N it is independence after reduction mod p.
     """
     ring = algebra.ring
-    key_order = type(algebra.unit).key_order
-    cols = [(name, img.terms) for name, img in algebra.monomials(degree)]
-    universe = {k for _, vec in cols for k in vec}
-    rank, divisors = _cell_rank(ring, key_order, [vec for _, vec in cols])
+    cols = algebra.monomials_by_degree(degree).get(degree, [])
+    universe = {k for _, (vec, _) in cols for k in vec}
+    rank, divisors = _cell_rank(ring, [vec for _, (vec, _) in cols])
     ok = rank == len(cols) and all(d == 1 for d in divisors or ())
     note = None
     if not ok:
         if ring.is_field:
             # name the first monomial in the span of the ones before it
-            elim = SparseEliminator(ring, key_order, track=True)
-            for name, vec in cols:
+            elim = SparseEliminator(ring, track=True)
+            for name, (vec, den) in cols:
+                vec = _field_values(vec, den)
                 if not elim.insert(vec, tag=name):
                     note = _dependency(elim, name, vec)
                     break
@@ -545,29 +641,31 @@ def check_spanning(algebra, degree):
         raise ValueError("spanning checks run on tensor algebras")
     rows = list(graded_basis(algebra.semigroup, degree,
                              algebra.length_bound))
-    cols = [(name, img.terms) for name, img in algebra.monomials(degree)]
-    _, note = _window_check(set(rows), cols)
+    cols = algebra.monomials_by_degree(degree).get(degree, [])
+    inside, note = _ranked(_ranks(TensorPoly, rows), cols)
     if note is not None:
         return CellRecord(degree, len(rows), len(cols), 0, False, note)
-    rank, divisors = _cell_rank(ring, TensorPoly.key_order,
-                                [vec for _, vec in cols])
+    # columns over Q are scaled to their numerators: the same span
+    vectors = [vec for _, vec, _ in inside]
+    rank, divisors = _cell_rank(ring, vectors)
     ok = rank == len(rows) and all(d == 1 for d in divisors or ())
     if not ok:
         # one factorization serves every word
         if ring.is_field:
-            elim = SparseEliminator(ring, TensorPoly.key_order)
-            for _, vec in cols:
+            elim = SparseEliminator(ring)
+            for vec in vectors:
                 elim.insert(vec)
-            unreachable = (w for w in rows
-                           if not elim.contains({w: ring.one}))
+            unreachable = (w for i, w in enumerate(rows)
+                           if not elim.contains({i: 1}))
         else:
             matrix = Matrix.from_columns(
-                ring, [[vec.get(w, ring.zero) for w in rows]
-                       for _, vec in cols], len(rows))
+                ring, [[vec.get(i, 0) for i in range(len(rows))]
+                       for vec in vectors], len(rows))
             solver = (_ZSolver if ring.kind == "Z" else _TruncatedSolver)(
                 matrix)
-            unreachable = (w for w in rows if solver.solve(
-                [ring.one if u == w else ring.zero for u in rows]) is None)
+            unreachable = (w for i, w in enumerate(rows) if solver.solve(
+                [ring.one if j == i else ring.zero
+                 for j in range(len(rows))]) is None)
         w = next(unreachable, None)
         if w is not None:
             note = "word %s is not reachable" % w.display(True)
@@ -585,12 +683,6 @@ def _has_degree_zero_letter(semigroup):
 def _tensor_rows(semigroup, degree_bound, length_bound):
     return {n: list(graded_basis(semigroup, n, length_bound))
             for n in range(degree_bound + 1)}
-
-
-def _column_buckets(algebra, degree_bound):
-    buckets = algebra.monomials_by_degree(degree_bound)
-    return {n: [(name, img.terms) for name, img in bucket]
-            for n, bucket in buckets.items()}
 
 
 def _tail_scalar(ring, lam, p, length):
@@ -613,6 +705,7 @@ def _relation_length_cap(p):
 def verify_radford_hoffman(semigroup, weight, degree_bound,
                            length_bound=None):
     """Lyndon monomials are a basis of the rational shuffle algebra."""
+    _require_bounds(degree_bound, length_bound)
     ring = Ring.rationals()
     lam = ring.of(Fraction(weight))
     if semigroup.kind == "ordered_set":
@@ -630,8 +723,8 @@ def verify_radford_hoffman(semigroup, weight, degree_bound,
                                TensorPoly.unit(ring, lam, semigroup),
                                length_bound)
     rows = _tensor_rows(semigroup, degree_bound, length_bound)
-    _filtered_cells(report, ring, TensorPoly.key_order, rows,
-                    _column_buckets(algebra, degree_bound))
+    _filtered_cells(report, ring, TensorPoly, rows,
+                    algebra.monomials_by_degree(degree_bound))
     if lam != 0:
         report.checks.append(_rescaling_check(ring, lam, semigroup,
                                               min(3, degree_bound),
@@ -663,6 +756,7 @@ def _rescaling_check(ring, lam, semigroup, degree_bound, length_bound):
 def verify_fp_weight0(semigroup, p, degree_bound, length_bound=None):
     """Weight-zero mod-p shuffle: truncated polynomials on tensor Lyndon
     words, every generator with vanishing p-th power."""
+    _require_bounds(degree_bound, length_bound)
     _require_prime(p)
     if _has_degree_zero_letter(semigroup):
         _require(length_bound is not None,
@@ -680,8 +774,8 @@ def verify_fp_weight0(semigroup, p, degree_bound, length_bound=None):
                                TensorPoly.unit(ring, lam, semigroup),
                                length_bound)
     rows = _tensor_rows(semigroup, degree_bound, length_bound)
-    _filtered_cells(report, ring, TensorPoly.key_order, rows,
-                    _column_buckets(algebra, degree_bound))
+    _filtered_cells(report, ring, TensorPoly, rows,
+                    algebra.monomials_by_degree(degree_bound))
     report.checks.extend(check_relations(algebra, _relation_length_cap(p)))
     return report
 
@@ -750,6 +844,7 @@ def verify_fp_nonzero(semigroup, p, weight, degree_bound, length_bound=None):
     power-split: fixed generators with w^p = lambda^w w tensored with
     nilpotent differences w - w^(p) whose p-th powers vanish.
     """
+    _require_bounds(degree_bound, length_bound)
     _require_prime(p)
     ring = Ring.prime_field(p)
     lam = ring.of(Fraction(weight))
@@ -814,8 +909,8 @@ def verify_fp_nonzero(semigroup, p, weight, degree_bound, length_bound=None):
                                TensorPoly.unit(ring, lam, semigroup),
                                length_bound)
     rows = _tensor_rows(semigroup, degree_bound, length_bound)
-    _filtered_cells(report, ring, TensorPoly.key_order, rows,
-                    _column_buckets(algebra, degree_bound))
+    _filtered_cells(report, ring, TensorPoly, rows,
+                    algebra.monomials_by_degree(degree_bound))
     report.checks.extend(check_relations(algebra, _relation_length_cap(p)))
     return report
 
@@ -863,15 +958,16 @@ def _zp_basis_cells(semigroup, p, precision, weight, degree_bound):
     gens = [word_symbol(ring, lam, semigroup, w) for w in sets["tel"]]
     algebra = PresentedAlgebra(ring, lam, semigroup, gens,
                                TensorPoly.unit(ring, lam, semigroup))
-    cells = _square_cells(ring, TensorPoly.key_order,
+    cells = _square_cells(ring, TensorPoly,
                           _tensor_rows(semigroup, degree_bound, None),
-                          _column_buckets(algebra, degree_bound))
+                          algebra.monomials_by_degree(degree_bound))
     return cells, sets
 
 
 def verify_zp(semigroup, p, precision, weight, degree_bound):
     """Mod p^N the tensor Lyndon monomials are a basis, and the
     indecomposables quotient keeps the Lyndon rank with p-unit divisors."""
+    _require_bounds(degree_bound)
     _require_prime(p)
     _require(precision >= 1, "precision must be positive")
     _require(semigroup.kind == "free_abelian",
@@ -1044,6 +1140,7 @@ def _cokernel_check(diag):
 
 def verify_z_polynomial(semigroup, weight, degree_bound):
     """Lifted complement monomials form a Z-basis in every degree."""
+    _require_bounds(degree_bound)
     weight = Fraction(weight)
     _require(weight in (1, -1), "integral structure runs at weight 1 or -1")
     _require(semigroup.kind == "free_abelian",
@@ -1063,8 +1160,7 @@ def verify_z_polynomial(semigroup, weight, degree_bound):
                                TensorPoly.unit(ring, lam, semigroup))
     rows = _tensor_rows(semigroup, degree_bound, None)
     report.cells.extend(_square_cells(
-        ring, TensorPoly.key_order, rows,
-        _column_buckets(algebra, degree_bound)))
+        ring, TensorPoly, rows, algebra.monomials_by_degree(degree_bound)))
     return report
 
 
@@ -1080,6 +1176,7 @@ def _pad_word(word, big):
 def verify_nested_summand(semigroups, weight, degree_bound):
     """Each complement lattice embeds as a direct summand of the next
     under an alphabet extension, degree by degree."""
+    _require_bounds(degree_bound)
     weight = Fraction(weight)
     _require(weight in (1, -1), "integral structure runs at weight 1 or -1")
     _require(len(semigroups) >= 2, "need at least two nested alphabets")
@@ -1113,7 +1210,7 @@ def verify_nested_summand(semigroups, weight, degree_bound):
                                        for j, c in vec.items())
                                 for i in range(rank, len(index))})
             size = diag_big["coker_rank"]
-            _, d = _cell_rank(ring, None, columns)
+            _, d = _cell_rank(ring, columns)
             ok = len(d) == len(columns) and all(x == 1 for x in d)
             report.cells.append(CellRecord(
                 n, size, len(columns), len(d), ok,
@@ -1189,8 +1286,8 @@ def _verify_rbl(alphabet, weight, degree_bound, length_bound):
         return list(graded_basis(monoid, d, length_bound))
 
     rows = _rb_rows(monoid, tails, degree_bound)
-    _filtered_cells(report, ring, RBElement.key_order, rows,
-                    _column_buckets(algebra, degree_bound))
+    _filtered_cells(report, ring, RBElement, rows,
+                    algebra.monomials_by_degree(degree_bound))
     return report
 
 
@@ -1216,19 +1313,21 @@ def _verify_rbazp(alphabet, p, precision, weight, degree_bound):
         return [_lift_word(monoid, t) for t in graded_basis(free, d)]
 
     rows = _rb_rows(monoid, tails, degree_bound)
-    buckets = _column_buckets(algebra, degree_bound)
+    buckets = algebra.monomials_by_degree(degree_bound)
     for n in range(degree_bound + 1):
         keys = rows[n]
-        rank, _ = _cell_rank(ring, RBElement.key_order,
-                             [vec for _, vec in buckets.get(n, [])])
-        cols = len(buckets.get(n, []))
-        ok = cols == rank
-        report.cells.append(CellRecord(
-            n, len(keys), cols, rank, ok,
-            None if ok else "dependent monomials mod %d" % p))
+        cols = buckets.get(n, [])
+        inside, note = _ranked(_ranks(RBElement, keys), cols)
+        rank = 0
+        if note is None:
+            rank, _ = _cell_rank(ring, [vec for _, vec, _ in inside])
+            if rank != len(cols):
+                note = "dependent monomials mod %d" % p
+        report.cells.append(CellRecord(n, len(keys), len(cols), rank,
+                                       note is None, note))
         report.checks.append(CheckRecord(
             "degree %d monomial count fills the identity-free sector" % n,
-            cols == len(keys), "%d" % cols))
+            len(cols) == len(keys), "%d" % len(cols)))
     return report
 
 
@@ -1256,7 +1355,7 @@ def _verify_rbaz(alphabet, weight, degree_bound, length_bound):
                 k, lead.length))
     algebra = PresentedAlgebra(ring, lam, monoid, gens,
                                RBElement.one(ring, lam, monoid))
-    buckets = _column_buckets(algebra, degree_bound)
+    buckets = algebra.monomials_by_degree(degree_bound)
     rows_by_degree = {}
     cols_by_degree = {}
     for n in range(degree_bound + 1):
@@ -1271,9 +1370,10 @@ def _verify_rbaz(alphabet, weight, degree_bound, length_bound):
         rows_by_degree[n] = plain + interior
         cols = list(buckets.get(n, []))
         for key in interior:
-            cols.append(("N:%s" % _key_text(key), {key: 1}))
+            cols.append(("N:%s" % _key_text(key),
+                         ({RBElement.code_key(key): 1}, 1)))
         cols_by_degree[n] = cols
-    report.cells.extend(_square_cells(ring, RBElement.key_order,
+    report.cells.extend(_square_cells(ring, RBElement,
                                       rows_by_degree, cols_by_degree))
     return report
 
@@ -1421,7 +1521,7 @@ def _rbafp_case(case, alphabet, p, weight, degree_bound, length_bound):
         algebra = PresentedAlgebra(ring, lam, semigroup,
                                    head_gens + tail_gens, unit,
                                    length_bound)
-        cols = _column_buckets(algebra, degree_bound)
+        cols = algebra.monomials_by_degree(degree_bound)
         relation_algebra = algebra
     else:
         # the head algebra is filtered, not graded: head generator powers
@@ -1430,21 +1530,20 @@ def _rbafp_case(case, alphabet, p, weight, degree_bound, length_bound):
         tail_buckets = tail_algebra.monomials_by_degree(degree_bound)
         cols = {n: [] for n in range(degree_bound + 1)}
         for head in semigroup.elements_up_to(degree_bound):
-            hpoly = RBElement.from_parts(ring, lam, semigroup, head,
-                                         empty_word())
+            bare = ({(head.code, ()): 1}, 1)
             for d in range(degree_bound - head.degree + 1):
                 for name, mono in tail_buckets.get(d, []):
-                    img = hpoly.mul_shared(mono, tail_algebra._memo)
                     label = head.name if name == "1" \
                         else "%s*%s" % (head.name, name)
-                    cols[head.degree + d].append((label, img.terms))
+                    cols[head.degree + d].append(
+                        (label, tail_algebra.multiply(bare, mono)))
         relation_algebra = tail_algebra
 
     def tails(d):
         return list(graded_basis(semigroup, d, length_bound))
 
     rows = _rb_rows(semigroup, tails, degree_bound)
-    _filtered_cells(report, ring, RBElement.key_order, rows, cols)
+    _filtered_cells(report, ring, RBElement, rows, cols)
     report.checks.extend(check_relations(relation_algebra,
                                          _relation_length_cap(p)))
     return report
@@ -1458,12 +1557,14 @@ def verify_rb_structure(theorem, alphabet=("x",), weight=1, p=None,
     four mod-p presentations), rbazp (p-adic independence at finite
     precision), rbaz (integral direct sum split).
     """
+    _require_bounds(degree_bound, length_bound)
     _require(len(alphabet) >= 1, "need at least one alphabet letter")
     if theorem == "rbl":
         return _verify_rbl(alphabet, weight, degree_bound, length_bound)
     if theorem == "rbazp":
         _require(p is not None, "rbazp needs p")
-        return _verify_rbazp(alphabet, p, precision or 4, weight,
+        return _verify_rbazp(alphabet, p,
+                             4 if precision is None else precision, weight,
                              degree_bound)
     if theorem == "rbaz":
         return _verify_rbaz(alphabet, weight, degree_bound, length_bound)
@@ -1481,6 +1582,7 @@ def verify_rb_structure(theorem, alphabet=("x",), weight=1, p=None,
 
 def verify_semigroup_props(semigroup, p, degree_bound, length_bound=None):
     """The word-family identities behind the mod-p structure theorems."""
+    _require_bounds(degree_bound, length_bound)
     _require_prime(p)
     ring = Ring.prime_field(p)
     report = VerificationReport("props", ring, 0, semigroup,

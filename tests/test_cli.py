@@ -205,3 +205,42 @@ def test_unknown_theorem_exits_2():
 def test_unknown_subcommand_exits_2():
     rc, _, err = run("frobnicate")
     assert rc == 2
+
+
+def test_negative_degree_bound_exits_2():
+    # exit 1 is kept for falsified theorems; a bad bound is bad input
+    for argv in (("verify", "radford", "--deg", "-1"),
+                 ("verify", "rbl", "--deg", "-2")):
+        rc, out, err = run(*argv)
+        assert (rc, out) == (2, ""), argv
+        assert "degree bound must not be negative" in err
+
+
+def test_negative_length_bound_exits_2():
+    rc, _, err = run("verify", "msq", "--lambda", "1", "--len", "-1")
+    assert rc == 2
+    assert "length bound must not be negative" in err
+
+
+def test_explicit_precision_zero_exits_2():
+    for argv in (("mul", "x", "x", "--ring", "Zp", "--p", "3",
+                  "--precision", "0"),
+                 ("verify", "isomor", "--p", "3", "--precision", "0"),
+                 ("verify", "rbazp", "--p", "3", "--precision", "0")):
+        rc, out, err = run(*argv)
+        assert (rc, out) == (2, ""), argv
+        assert "precision" in err
+
+
+def test_unset_precision_keeps_its_default():
+    rc, out, _ = run("mul", "x", "x", "--lambda", "1", "--ring", "Zp",
+                     "--p", "3", "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["ring"] == {"kind": "truncated_padic", "p": 3,
+                                       "precision": 6}
+
+
+def test_sixty_one_bit_prime_field():
+    rc, out, _ = run("mul", "x", "x", "--ring", "Fp",
+                     "--p", str(2 ** 61 - 1))
+    assert (rc, out) == (0, "2·x⊗x\n")

@@ -19,10 +19,11 @@ from fractions import Fraction
 
 import pytest
 
-from mixshuffle import FreeAbelian, semigroup_from_preset, \
+from mixshuffle import FreeAbelian, Ring, semigroup_from_preset, \
     verify_fp_nonzero, verify_fp_weight0, verify_nested_summand, \
     verify_radford_hoffman, verify_rb_structure, verify_semigroup_props, \
     verify_z_polynomial, verify_zp
+from mixshuffle import verify as verify_module
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden_integral_reports.json")
@@ -154,6 +155,27 @@ def test_integral_report_matches_golden(golden, name):
 @pytest.mark.parametrize("name", sorted(FIELD_CASES))
 def test_field_report_matches_golden(golden_field, name):
     assert report_text(FIELD_CASES, name) == golden_field[name]
+
+
+@pytest.mark.parametrize("prime", (2, 3))
+def test_field_reports_match_golden_under_a_small_certifying_prime(
+        golden_field, monkeypatch, prime):
+    # Q cells are certified by their rank mod a 61-bit prime; mod 2 or 3
+    # many are deficient and go through the exact tracked elimination,
+    # which must give the same reports
+    exact = []
+
+    class Recording(verify_module.SparseEliminator):
+        def __init__(self, ring, key_order=None, track=False):
+            super().__init__(ring, key_order, track)
+            exact.append(track and ring.kind == "Q")
+
+    monkeypatch.setattr(verify_module, "_CERTIFYING_FIELD",
+                        Ring.prime_field(prime))
+    monkeypatch.setattr(verify_module, "SparseEliminator", Recording)
+    for name in sorted(FIELD_CASES):
+        assert report_text(FIELD_CASES, name) == golden_field[name], name
+    assert any(exact)
 
 
 if __name__ == "__main__":

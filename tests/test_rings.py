@@ -6,6 +6,7 @@ checked against an independent computation, not against itself.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,46 @@ def test_is_prime_small_values():
     assert not _is_prime(1)
     assert not _is_prime(0)
     assert 91 not in primes and not _is_prime(91)
+
+
+def trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(200000) if _is_prime(n)] == \
+        [n for n in range(200000) if trial_division(n)]
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael numbers, a strong pseudoprime to the bases 2, 3, 5 and 7,
+    # and 2^61 + 1 = 3 * 768614336404564651
+    for n in (561, 1105, 41041, 3215031751, 2 ** 61 + 1):
+        assert not _is_prime(n), n
+
+
+def test_is_prime_is_fast_on_large_primes():
+    # trial division would take minutes on the 61-bit Mersenne prime
+    start = time.perf_counter()
+    assert _is_prime(2 ** 31 - 1) and _is_prime(2 ** 61 - 1)
+    assert Ring.prime_field(2 ** 61 - 1).modulus == 2 ** 61 - 1
+    assert time.perf_counter() - start < 0.5
+
+
+def test_is_prime_above_the_deterministic_range():
+    # past the Miller-Rabin bound trial division decides, which stays
+    # quick when a small factor exists
+    from mixshuffle.rings import _MR_LIMIT
+    assert not _is_prime(_MR_LIMIT + 1)
+    assert not _is_prime(2 ** 89 + 1)
+    assert not _is_prime(43 * 47 * (2 ** 82 + 1))
 
 
 def test_p_adic_valuation():

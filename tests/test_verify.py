@@ -6,7 +6,9 @@ achieved rank internally, and the counts are pinned again literally so a
 regression in any of the three shows up as a diff against this file.
 """
 
+import inspect
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from mixshuffle import (
     OrderedSet,
     PresentedAlgebra,
     Ring,
+    SparseEliminator,
     TensorPoly,
     Word,
     GeneratorSymbol,
@@ -378,7 +381,9 @@ def test_monomials_do_not_recurse_per_generator():
     count = sys.getrecursionlimit() + 50
     alg = PresentedAlgebra(Q, 0, f, [sym] * count, TensorPoly.unit(Q, 0, f))
     buckets = alg.monomials_by_degree(2)
-    assert buckets == {0: [("1", alg.unit)], 1: [], 2: []}
+    # images come in code form: ({(head code, code tuple): integer}, den)
+    assert buckets == {0: [("1", ({(None, ()): 1}, 1))], 1: [], 2: []}
+    assert alg.monomials(0) == [("1", alg.unit)]
 
 
 def test_failing_report_has_exit_code_one():
@@ -717,3 +722,361 @@ def test_monomial_names_are_distinct_in_each_degree():
         for degree, bucket in alg.monomials_by_degree(4).items():
             names = [name for name, _ in bucket]
             assert len(set(names)) == len(names), (degree, names)
+
+
+def test_every_verifier_refuses_negative_bounds():
+    f = FreeAbelian(["x"])
+    calls = [
+        lambda: verify_radford_hoffman(f, 0, -1),
+        lambda: verify_radford_hoffman(f, 1, 3, -1),
+        lambda: verify_fp_weight0(f, 2, -1),
+        lambda: verify_fp_nonzero(f, 2, 1, -1),
+        lambda: verify_zp(f, 2, 4, 1, -1),
+        lambda: verify_z_polynomial(f, 1, -1),
+        lambda: verify_nested_summand([f, FreeAbelian(["x", "y"])], 1, -1),
+        lambda: verify_rb_structure("rbl", ("x",), 1, None, None, -2, 3),
+        lambda: verify_rb_structure("rbl", ("x",), 1, None, None, 3, -1),
+        lambda: verify_rb_structure("rbazp", ("x",), 1, 2, 4, -1),
+        lambda: verify_semigroup_props(f, 2, -1),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigurationError):
+            call()
+
+
+def test_rbazp_refuses_an_explicit_precision_zero():
+    with pytest.raises(ConfigurationError):
+        verify_rb_structure("rbazp", ("x",), 1, 2, 0, 3)
+    assert verify_rb_structure("rbazp", ("x",), 1, 2, None, 3).bounds[
+        "precision"] == 4
+
+
+# code-form monomials against plain products, fast cells against the
+# exact tracked elimination over the rows' own keys
+
+
+# each ring with the weights drawn over it
+DRAW_RINGS = [pytest.param(ring, weights, id=repr(ring)) for ring, weights in (
+    (Ring.rationals(), (0, 1, -1, Fraction(5, 3))),
+    (Ring.prime_field(2), (0, 1)),
+    (Ring.prime_field(3), (0, 1, 2)),
+    (Ring.integers(), (1, -1)),
+    (Ring.truncated_padic(3, 4), (1, 2, -1)),
+)]
+
+
+def draw_coefficient(rng, ring):
+    if ring.kind == "Q":
+        return rng.choice((1, -1, 2, Fraction(5, 3), Fraction(-1, 2)))
+    if ring.is_field:
+        return rng.randrange(1, ring.p)
+    return rng.choice((1, -1, 2, 3))
+
+
+def draw_generators(rng, ring, kind, lam, semigroup, keys_of, leads):
+    """One generator per (leading key, degree, length), its image the
+    leading key plus up to two smaller keys of the same degree; at random
+    one image is then replaced by a multiple of another of the same
+    degree, so that some cells are deficient."""
+    gens = []
+    for lead, degree, length in leads:
+        smaller = [k for k in keys_of(degree)
+                   if kind.key_order(k) < kind.key_order(lead)]
+        terms = {lead: 1}
+        for k in rng.sample(smaller, min(len(smaller), rng.randint(0, 2))):
+            terms[k] = draw_coefficient(rng, ring)
+        gens.append(GeneratorSymbol("g%d" % len(gens),
+                                    kind(ring, lam, semigroup, terms),
+                                    degree, length))
+    return with_a_dependent_image(rng, ring, gens)
+
+
+def with_a_dependent_image(rng, ring, gens):
+    pairs = [(i, j) for i, a in enumerate(gens) for j, b in enumerate(gens)
+             if i != j and a.degree == b.degree >= 2]
+    if pairs and rng.random() < 0.5:
+        i, j = rng.choice(pairs)
+        g = gens[i]
+        gens[i] = GeneratorSymbol(
+            g.name, gens[j].image.scale(draw_coefficient(rng, ring)),
+            g.degree, g.lead_length)
+    return gens
+
+
+def draw_tensor_algebra(rng, ring, lam):
+    """Lyndon words over Q and F_p, tensor Lyndon words over Z/p^N, each
+    perturbed by smaller words, and the lifted cokernel complements over
+    Z: families that pass, unless one image was made dependent."""
+    names = rng.choice((("x",), ("x", "y")))
+    bound = 5 - len(names)
+    f = FreeAbelian(list(names))
+    if ring.kind == "Z":
+        gens = []
+        for k in range(1, bound + 1):
+            diag, lifted = compute_cokernel_basis(f, lam, k)
+            gens += [GeneratorSymbol("g%d" % len(gens), poly, k,
+                                     poly.leading_term()[0].length)
+                     for poly in lifted]
+        gens = with_a_dependent_image(rng, ring, gens)
+    else:
+        family = enumerate_lyndon(f, bound) if ring.is_field else \
+            mx.standard_generating_sets(f, ring.p, bound)["tel"]
+        gens = draw_generators(
+            rng, ring, TensorPoly, lam, f,
+            lambda d: list(mx.graded_basis(f, d)),
+            [(w, w.degree, w.length) for w in family])
+    alg = PresentedAlgebra(ring, lam, f, gens, TensorPoly.unit(ring, lam, f))
+    return alg, {n: list(mx.graded_basis(f, n)) for n in range(bound + 1)}
+
+
+def draw_rb_algebra(rng, ring, lam, bound, length):
+    """The rational Rota-Baxter generators (the head letter and every
+    Lyndon tail), perturbed by smaller keys."""
+    monoid = mx.Unitarized(FreeAbelian(["x"]))
+    ident = monoid.identity
+    x = monoid.parse("x")
+
+    def keys_of(d):
+        return [(h, t) for h in monoid.elements_up_to(d)
+                for t in mx.graded_basis(monoid, d - h.degree, length)]
+
+    leads = [((x, mx.empty_word()), 1, 0)] + [
+        ((ident, w), w.degree, w.length)
+        for w in enumerate_lyndon(monoid, bound, length)]
+    gens = draw_generators(rng, ring, mx.RBElement, lam, monoid, keys_of,
+                           leads)
+    alg = PresentedAlgebra(ring, lam, monoid, gens,
+                           mx.RBElement.one(ring, lam, monoid), length)
+    return alg, {n: keys_of(n) for n in range(bound + 1)}
+
+
+def reference_monomials(alg, bound):
+    """{degree: {name: image}} over exponent vectors, each image a chain
+    of plain products with no shared memo."""
+    out = {n: {} for n in range(bound + 1)}
+    gens = alg.generators
+    budget = alg.length_bound
+
+    def walk(i, deg, length, parts, image):
+        if i == len(gens):
+            out[deg]["*".join(parts) or "1"] = image
+            return
+        g = gens[i]
+        walk(i + 1, deg, length, parts, image)
+        e = 1
+        while (g.cap is None or e <= g.cap) and deg + e * g.degree <= bound \
+                and (budget is None or length + e * g.lead_length <= budget):
+            image = image * g.image
+            walk(i + 1, deg + e * g.degree, length + e * g.lead_length,
+                 parts + (g.name if e == 1 else "%s^%d" % (g.name, e),),
+                 image)
+            e += 1
+
+    walk(0, 0, 0, (), alg.unit)
+    return out
+
+
+def reference_filtered_cells(field, key_order, rows_by_degree,
+                             cols_by_degree):
+    """Field cells by one exact tracked elimination over the rows' keys."""
+    elim = SparseEliminator(field, key_order, track=True)
+    window = {k for keys in rows_by_degree.values() for k in keys}
+    counterexample = None
+    cells = []
+    for n in sorted(set(rows_by_degree) | set(cols_by_degree)):
+        dim = len(rows_by_degree.get(n, ()))
+        cols = cols_by_degree.get(n, [])
+        note = None
+        increment = 0
+        for name, vec in cols:
+            if not window.issuperset(vec):
+                note = note or "image of %s leaves the window" % name
+            elif elim.insert(vec, tag=name):
+                increment += 1
+            elif counterexample is None:
+                counterexample = verify_module._dependency(elim, name, vec)
+        ok = dim == len(cols) == increment and note is None
+        if not ok and note is None:
+            note = "dimension %d, monomials %d, new rank %d" % (
+                dim, len(cols), increment)
+        cells.append((n, dim, len(cols), increment, ok, note))
+    return cells, counterexample
+
+
+def reference_square_cells(ring, key_order, rows_by_degree, cols_by_degree):
+    """Square cells by dense Smith forms over Z and exact elimination mod p
+    over Z/p^N, both over the rows' keys."""
+    cells = []
+    for n in sorted(rows_by_degree):
+        keys = rows_by_degree[n]
+        cols = cols_by_degree.get(n, [])
+        rank = 0
+        note = None
+        if ring.kind == "Z" and len(keys) != len(cols):
+            note = "non-square system"
+        elif any(not set(keys).issuperset(vec) for _, vec in cols):
+            note = next("image of %s leaves the window" % name
+                        for name, vec in cols if not set(keys).issuperset(vec))
+        elif ring.kind == "Z":
+            divisors = Matrix(ring, [[vec.get(k, 0) for _, vec in cols]
+                                     for k in keys]).smith_normal_form()[0] \
+                if cols else []
+            rank = len(divisors)
+            if any(d != 1 for d in divisors):
+                note = "elementary divisors %s" % [d for d in divisors
+                                                   if d != 1]
+            elif rank != len(keys):
+                note = "rank %d of %d" % (rank, len(keys))
+        else:
+            elim = SparseEliminator(Ring.prime_field(ring.p), key_order)
+            for _, vec in cols:
+                elim.insert({k: c % ring.p for k, c in vec.items()})
+            rank = elim.rank
+            if not len(keys) == len(cols) == rank:
+                note = "determinant not a unit"
+        cells.append((n, len(keys), len(cols), rank, note is None, note))
+    return cells
+
+
+def decoded_columns(alg, buckets):
+    return {n: [(name, alg.decode(form).terms) for name, form in bucket]
+            for n, bucket in buckets.items()}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("ring,weights", DRAW_RINGS)
+def test_code_form_cells_match_the_word_key_oracle(ring, weights, seed):
+    rng = random.Random("%r/%d" % (ring, seed))
+    lam = ring.of(weights[seed % len(weights)])
+    drawn = [(mx.TensorPoly, draw_tensor_algebra(rng, ring, lam))]
+    if ring.is_field:
+        drawn.append((mx.RBElement, draw_rb_algebra(rng, ring, lam, 3, 3)))
+    for kind, (alg, rows) in drawn:
+        bound = max(rows)
+        buckets = alg.monomials_by_degree(bound)
+        expected = reference_monomials(alg, bound)
+        assert {n: {name: alg.decode(form) for name, form in bucket}
+                for n, bucket in buckets.items()} == expected
+        columns = decoded_columns(alg, buckets)
+        if ring.is_field:
+            report = mx.VerificationReport("draw", ring, lam,
+                                           alg.semigroup, {})
+            verify_module._filtered_cells(report, ring, kind, rows, buckets)
+            assert ([cell_of(c) for c in report.cells],
+                    report.counterexample) == reference_filtered_cells(
+                        ring, kind.key_order, rows, columns)
+        else:
+            assert [cell_of(c) for c in verify_module._square_cells(
+                ring, kind, rows, buckets)] == reference_square_cells(
+                    ring, kind.key_order, rows, columns)
+
+
+# Q cells: rank mod a 61-bit prime, exact elimination only when deficient
+
+
+def record_eliminators(monkeypatch):
+    """The (ring, tracked) of every eliminator the verifiers make."""
+    made = []
+
+    class Recording(SparseEliminator):
+        def __init__(self, ring, key_order=None, track=False):
+            super().__init__(ring, key_order, track)
+            made.append((ring, track))
+
+    monkeypatch.setattr(verify_module, "SparseEliminator", Recording)
+    return made
+
+
+P61 = 2 ** 61 - 1
+
+
+def test_q_cell_rank_falls_back_when_p_divides_a_minor(monkeypatch):
+    made = record_eliminators(monkeypatch)
+    Q = Ring.rationals()
+    certifying = verify_module._CERTIFYING_FIELD
+    assert certifying.p == P61
+    for vectors, rank in (
+            ([{0: P61}], 1),
+            ([{0: 1, 1: 1}, {0: 1, 1: 1 + P61}], 2),  # determinant P
+            ([{0: 3 * P61, 1: 1}, {0: 1}, {1: 2 * P61}], 2)):
+        del made[:]
+        assert verify_module._cell_rank(Q, vectors) == (rank, None)
+        assert made == [(certifying, False), (Q, False)]
+    del made[:]
+    assert verify_module._cell_rank(Q, [{0: 2, 1: 1}, {1: 5}]) == (2, None)
+    assert made == [(certifying, False)]
+
+
+def test_q_filtered_cells_with_p_in_an_entry_or_a_denominator(monkeypatch):
+    made = record_eliminators(monkeypatch)
+    Q = Ring.rationals()
+    f = FreeAbelian(["x"])
+    x = f.parse("x")
+    xx, x2 = TensorPoly.code_key(Word((x, x))), \
+        TensorPoly.code_key(Word((x ** 2,)))
+    rows = {2: [Word((x, x)), Word((x ** 2,))]}
+
+    def cells(*cols):
+        del made[:]
+        report = mx.VerificationReport("cell", Q, 1, f, {})
+        verify_module._filtered_cells(report, Q, TensorPoly, rows,
+                                      {2: list(cols)})
+        return [cell_of(c) for c in report.cells], report.counterexample
+
+    # independent over Q, dependent mod P: the exact pass certifies it
+    assert cells(("a", ({xx: 1, x2: 1}, 1)),
+                 ("b", ({xx: 1, x2: 1 + P61}, 1))) == (
+        [(2, 2, 2, 2, True, None)], None)
+    assert (Q, True) in made
+    # a denominator P scales its column by a unit over Q: certified mod P
+    # on the numerators alone
+    assert cells(("a", ({xx: 1}, P61)), ("b", ({x2: P61 + 1}, P61))) == (
+        [(2, 2, 2, 2, True, None)], None)
+    assert (Q, True) not in made
+    # a dependent column over the denominator P is named with its true
+    # coefficient
+    assert cells(("a", ({xx: 1, x2: 2}, 1)), ("b", ({xx: 1, x2: 2}, P61))) \
+        == ([(2, 2, 2, 1, False, "dimension 2, monomials 2, new rank 1")],
+            "b = 1/%d*a" % P61)
+    assert (Q, True) in made
+
+
+def test_weighted_independence_failure_note():
+    Q = Ring.rationals()
+    f = FreeAbelian(["x"])
+    x = f.parse("x")
+    lam = Fraction(5, 3)
+    gens = [word_symbol(Q, lam, f, w) for w in enumerate_lyndon(f, 3)] + \
+        [word_symbol(Q, lam, f, Word((x, x)))]
+    alg = PresentedAlgebra(Q, lam, f, gens, TensorPoly.unit(Q, lam, f))
+    assert [cell_of(check_independence(alg, n)) for n in (2, 3)] == [
+        (2, 2, 3, 2, False, "x^2 = 2*[x(x)x] + 5/3*[x^2]"),
+        (3, 4, 5, 4, False, "x^3 = 2*x*[x(x)x] + 5/3*x*[x^2]")]
+
+
+# the pinned failure notes whose cells run over Q
+Q_FAILURES = (
+    test_field_cells_fail_on_a_dependent_family,
+    test_field_cells_fail_when_an_image_leaves_the_window,
+    test_spanning_fails_when_an_image_leaves_the_window,
+    test_failing_spanning_check_factors_once,
+    test_weighted_independence_failure_note,
+)
+
+
+@pytest.mark.parametrize("prime", (2, 3))
+def test_q_failures_reproduce_under_a_small_certifying_prime(monkeypatch,
+                                                            prime):
+    # mod 2 or 3 most Q cells are deficient: every one of them goes
+    # through the exact elimination, which must tell the same story
+    monkeypatch.setattr(verify_module, "_CERTIFYING_FIELD",
+                        Ring.prime_field(prime))
+    for test in Q_FAILURES:
+        with monkeypatch.context() as patch:
+            if inspect.signature(test).parameters:
+                test(patch)
+            else:
+                test()
+    for names, top in (("x",), 4), (("x", "y"), 3):
+        test_spanning_matches_solving_every_word(names, top,
+                                                 Ring.rationals())
