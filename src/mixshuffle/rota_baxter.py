@@ -18,7 +18,7 @@ alphabet.  The alphabet must contain an identity, since P needs it.
 """
 
 from .semigroups import letter_codec
-from .shuffle import Combination, memo_codec, ring_values, shuffle_sum
+from .shuffle import Combination, TensorPoly
 from .words import Word, _from_codes, empty_word, _pretty_name
 
 
@@ -31,6 +31,8 @@ class RBElement(Combination):
 
     __slots__ = ()
 
+    heads = True
+
     def __init__(self, ring, lam, semigroup, terms=None):
         if semigroup.identity is None:
             raise ValueError("alphabet must contain an identity")
@@ -42,13 +44,19 @@ class RBElement(Combination):
         return (tail.pro_length_key, head.sort_key)
 
     @staticmethod
-    def code_key(key):
+    def code_key(key, codec=None):
+        """(head code, tail code tuple), both over codec if given."""
         head, tail = key
-        return head.code, tail.codes
+        if codec is not None and letter_codec(head.semigroup) is not codec:
+            raise ValueError("head %r is not over this alphabet" % (head,))
+        return head.code, TensorPoly.code_key(tail, codec)
 
-    @staticmethod
-    def key_of_code(codec, key):
-        return codec.elements[key[0]], _from_codes(codec, key[1])
+    def _word_terms(self):
+        codec = self.codec
+        return {(codec.elements[h], _from_codes(codec, t)): c
+                for (h, t), c in self.code_terms.items()}
+
+    mul_shared = Combination.mul_shared
 
     @staticmethod
     def _key_text(key, ascii_mode):
@@ -80,26 +88,6 @@ class RBElement(Combination):
     def degree(self):
         return max((h.degree + t.degree for h, t in self.terms), default=0)
 
-    def mul_shared(self, other, memo):
-        """Product reusing a caller-held shuffle memo across many calls.
-
-        The memo belongs to this ring, weight and alphabet; reusing it
-        with others raises ValueError.  None shares nothing.
-        """
-        self._check(other)
-        R = self.ring
-        codec = memo_codec(memo, R, self.lam, self.semigroup)
-        (left, dx), (right, dy) = self._code_items(), other._code_items()
-        acc, den = shuffle_sum(R, self.lam, codec, memo, left, right,
-                               heads=True)
-        den *= dx * dy
-        terms = {}
-        for h, raw in acc.items():
-            head = codec.elements[h]
-            terms.update(ring_values(
-                R, raw, den, lambda t: (head, _from_codes(codec, t))))
-        return self._like(terms)
-
     def power(self, k):
         out = RBElement.one(self.ring, self.lam, self.semigroup)
         for _ in range(k):
@@ -108,13 +96,9 @@ class RBElement(Combination):
 
     def operator_p(self):
         """Shift each head into its tail, identity becomes the head."""
-        ident = self.semigroup.identity
-        codec = letter_codec(self.semigroup)
-        acc = {}
-        for (h, t), c in self.terms.items():
-            key = (ident, _from_codes(codec, (h.code,) + t.codes))
-            acc[key] = self.ring.add(acc.get(key, self.ring.zero), c)
-        return RBElement(self.ring, self.lam, self.semigroup, acc)
+        e = self.semigroup.identity.code
+        return self._like({(e, (h,) + t): c
+                           for (h, t), c in self.code_terms.items()})
 
 
 def check_rb_identity(x, y):

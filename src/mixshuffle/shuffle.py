@@ -20,16 +20,16 @@ order-preserving slot injections whose images cover the result word and
 is used only to cross-check the dynamic program.
 
 Inside the product layer letters are the small ints of their alphabet's
-LetterCodec, words are the code tuples that Word objects already hold,
-and coefficients are plain integers: the number of ways to reach a word,
-reduced mod the ring's modulus when it has one.  A word with k merged
-slots carries lambda^k, which depends on its length alone, so the weight
-and the input coefficients are applied once per result word.
-shuffle_sum takes its operands in that integer code form, so the
-structure verifiers multiply monomial images without leaving it; the
-products of TensorPoly and RBElement convert their operands once, and
-each result word becomes one Word around its code tuple, with no letter
-decoded until something asks for it.
+LetterCodec, words are code tuples, and coefficients are plain integers:
+the number of ways to reach a word, reduced mod the ring's modulus when
+it has one.  A word with k merged slots carries lambda^k, which depends
+on its length alone, so the weight and the input coefficients are
+applied once per result word.  Elements store their terms in that code
+form too, keyed by code tuples, so a product reads its operands and
+files its result without building a Word; shuffle_sum takes the same
+integer code form, so the structure verifiers multiply monomial images
+without leaving it.  Words are built only when a caller reads the
+Word-keyed terms of an element, once per element.
 
 Powers are not computed by repeated binary products.  A k-fold shuffle
 collapses to a walk over tuples of consumed-prefix lengths, and factors
@@ -39,15 +39,15 @@ whose binomial vanishes in the ring is dropped.  This keeps p-th powers
 of small polynomials tractable for p = 5.
 """
 
-import functools
 import itertools
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 from .rings import Q, Ring
 from .semigroups import OrderedSemigroup, _compositions, letter_codec
-from .words import Word, _from_codes, cfl_factorize, componentwise_p_power, \
-    empty_word, enumerate_words
+from .words import Word, _new as _new_word, cfl_factorize, \
+    componentwise_p_power, empty_word, enumerate_words
 
 
 def _accumulate(acc, ring, letters, coeff):
@@ -306,54 +306,54 @@ def _weights(ring, scale, lam, top, most):
     return out
 
 
-def ring_values(ring, raw, den, key_of):
-    """{key_of(k): x / den} over the raw integers x that do not vanish
-    in the ring, as canonical ring values."""
+def ring_values(ring, raw, den):
+    """{k: x / den} over the raw integers x that do not vanish in the
+    ring, as canonical ring values."""
     mod = ring.modulus
     if mod is not None:
-        return {key_of(k): r for k, x in raw.items() if (r := x % mod)}
+        return {k: r for k, x in raw.items() if (r := x % mod)}
     if ring.kind == Q:
-        return {key_of(k): Fraction(x, den) for k, x in raw.items() if x}
-    return {key_of(k): x for k, x in raw.items() if x}
+        return {k: Fraction(x, den) for k, x in raw.items() if x}
+    return {k: x for k, x in raw.items() if x}
 
 
 def shuffle_sum(ring, lam, codec, memo, left, right, heads=False):
-    """Sum of x*y times the product of u and v, over ((h, u), x) in left
-    and ((g, v), y) in right, with u, v code tuples and x, y integers.
+    """Sum of x*y times the product of the keys k and l, over (k, x) in
+    left and (l, y) in right, with x, y integers.
 
-    With heads, h and g are letter codes that multiply in the semigroup
-    and each product is filed under h*g; otherwise they are None.
-    Returns ({head: {code tuple: integer}}, den): the sum is each integer
-    over den, a power of the denominator of lam.
+    A key is a code tuple u, or with heads a pair (h, u) of a letter code
+    and a code tuple, and the product of (h, u) and (g, v) files each word
+    t of the product of u and v under (h*g, t).  Returns ({key: integer},
+    den): the sum is each integer over den, a power of lam's denominator.
     """
     if not left or not right:
         return {}, 1
     merge = not ring.is_zero(lam)
     mod = ring.modulus
-    top = 0
-    if merge:
-        top = min(max(len(u) for (_, u), _ in left),
-                  max(len(v) for (_, v), _ in right))
+    top = min(max(len(k[1] if heads else k) for k, _ in side)
+              for side in (left, right)) if merge else 0
     acc = {}
-    for (h, u), x in left:
-        for (g, v), y in right:
-            head = None
-            if heads:
-                head = codec.multiply(h, g)
-                if head is None:
-                    raise ValueError("zero product of heads")
+    for k, x in left:
+        h, u = k if heads else (None, k)
+        for l, y in right:
+            g, v = l if heads else (None, l)
             counts = _quasi_shuffle(u, v, codec, merge, mod, memo)
             size = len(u) + len(v)
             w = _weights(ring, x * y, lam, top,
                          min(len(u), len(v)) if merge else 0)
-            bucket = acc.get(head)
-            if bucket is None:
-                acc[head] = {t: w[size - len(t)] * c
-                             for t, c in counts.items()}
+            if heads:
+                head = codec.multiply(h, g)
+                if head is None:
+                    raise ValueError("zero product of heads")
+                terms = {(head, t): w[size - len(t)] * c
+                         for t, c in counts.items()}
             else:
-                get = bucket.get
-                for t, c in counts.items():
-                    bucket[t] = get(t, 0) + w[size - len(t)] * c
+                terms = {t: w[size - len(t)] * c for t, c in counts.items()}
+            if acc:
+                get = acc.get
+                acc.update({t: get(t, 0) + c for t, c in terms.items()})
+            else:
+                acc = terms
     return acc, lam.denominator ** top
 
 
@@ -362,65 +362,71 @@ class Combination:
     ring, tagged with the mixing weight and the alphabet it lives over.
 
     This is the coefficient algebra that TensorPoly and RBElement share:
-    coercion, sums, scaling, equality, text and JSON.  A subclass names
-    its key (a word, or a head and a tail), orders keys with key_order,
-    lists terms in descending order or not, writes one key as text and
-    JSON, and defines its own product as mul_shared.  Operands of two
-    different subclasses never combine.
+    coercion, sums, scaling, equality, products, text and JSON.  A
+    subclass names its key (a word, or a head and a tail) and its code
+    key, orders keys with key_order, lists terms in descending order or
+    not, and writes one key as text and JSON.  Operands of two different
+    subclasses never combine.
 
-    The code form of the terms is what the product kernels read and
-    write: code_key turns a key into (head code or None, code tuple),
-    key_of_code turns it back, and the values become integer numerators
-    over one denominator.
+    code_terms holds {code key: nonzero canonical value} beside the
+    alphabet's LetterCodec: a word's code key is its code tuple, a head
+    and tail's is (head code, tail code tuple).  Products, sums, scaling
+    and equality are dict work on these keys.  The constructor is the one
+    place keys are converted and rejects keys from another alphabet;
+    terms is a read-only view keyed by words, built on first access.
     """
 
-    __slots__ = ("ring", "lam", "semigroup", "terms")
+    __slots__ = ("ring", "lam", "semigroup", "codec", "code_terms", "_terms")
 
     # render and to_json list terms in this direction of key_order
     descending = False
+    # keys carry a head letter that multiplies in the semigroup
+    heads = False
 
     def __init__(self, ring, lam, semigroup, terms=None):
-        self.ring = ring
-        self.lam = ring.of(lam)
-        self.semigroup = semigroup
+        self.ring, self.lam, self.semigroup = ring, ring.of(lam), semigroup
+        self.codec, self._terms = letter_codec(semigroup), None
         clean = {}
         if terms:
             for key, coeff in terms.items():
+                k = self.code_key(key, self.codec)
                 c = ring.of(coeff)
                 if not ring.is_zero(c):
-                    clean[key] = c
-        self.terms = clean
+                    clean[k] = c
+        self.code_terms = clean
 
     @classmethod
-    def _canonical(cls, ring, lam, semigroup, terms):
-        """Wrap terms that already hold nonzero canonical values."""
+    def _canonical(cls, ring, lam, semigroup, code_terms):
+        """Wrap code terms that already hold nonzero canonical values."""
         out = cls.__new__(cls)
-        out.ring, out.lam, out.semigroup, out.terms = \
-            ring, lam, semigroup, terms
+        out.ring, out.lam, out.semigroup, out.codec, out.code_terms = \
+            ring, lam, semigroup, letter_codec(semigroup), code_terms
+        out._terms = None
         return out
 
-    def _like(self, terms):
-        return self._canonical(self.ring, self.lam, self.semigroup, terms)
+    def _like(self, code_terms):
+        return self._canonical(self.ring, self.lam, self.semigroup,
+                               code_terms)
 
-    def _code_items(self):
-        """[(code key, integer)] for the terms, and the one denominator
-        the integers are over."""
-        nums, den = _integral(list(self.terms.values()))
-        return list(zip(map(self.code_key, self.terms), nums)), den
+    @property
+    def terms(self):
+        """{key: value} keyed by words, read-only; built once."""
+        view = self._terms
+        if view is None:
+            view = self._terms = MappingProxyType(self._word_terms())
+        return view
 
     def code_form(self):
         """The terms in code form: ({code key: integer}, den), each value
         its integer over den."""
-        items, den = self._code_items()
-        return dict(items), den
+        nums, den = _integral(list(self.code_terms.values()))
+        return dict(zip(self.code_terms, nums)), den
 
     @classmethod
     def from_code_form(cls, ring, lam, semigroup, form):
         """The element with these terms in code form (see code_form)."""
-        terms, den = form
-        key_of = functools.partial(cls.key_of_code, letter_codec(semigroup))
         return cls._canonical(ring, ring.of(lam), semigroup,
-                              ring_values(ring, terms, den, key_of))
+                              ring_values(ring, *form))
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -431,7 +437,7 @@ class Combination:
             raise ValueError("incompatible %s operands" % type(self).__name__)
 
     def is_zero(self):
-        return not self.terms
+        return not self.code_terms
 
     def support(self):
         """The keys with nonzero coefficient, ascending in key_order."""
@@ -439,15 +445,15 @@ class Combination:
 
     def __add__(self, other):
         self._check(other)
-        acc = dict(self.terms)
+        acc = dict(self.code_terms)
         R = self.ring
-        for k, c in other.terms.items():
+        for k, c in other.code_terms.items():
             _accumulate(acc, R, k, c)
         return self._like(acc)
 
     def __neg__(self):
         R = self.ring
-        return self._like({k: R.neg(c) for k, c in self.terms.items()})
+        return self._like({k: R.neg(c) for k, c in self.code_terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -455,7 +461,7 @@ class Combination:
     def scale(self, c):
         R = self.ring
         cv = R.of(c)
-        return self._like({k: x for k, v in self.terms.items()
+        return self._like({k: x for k, v in self.code_terms.items()
                            if not R.is_zero(x := R.mul(cv, v))})
 
     def __mul__(self, other):
@@ -465,18 +471,32 @@ class Combination:
 
     __rmul__ = scale
 
+    def mul_shared(self, other, memo):
+        """Product reusing a caller-held shuffle memo across many calls.
+
+        The memo belongs to this ring, weight and alphabet; reusing it
+        with others raises ValueError.  None shares nothing.
+        """
+        self._check(other)
+        R = self.ring
+        codec = memo_codec(memo, R, self.lam, self.semigroup)
+        (left, dx), (right, dy) = self.code_form(), other.code_form()
+        acc, den = shuffle_sum(R, self.lam, codec, memo, left.items(),
+                               right.items(), self.heads)
+        return self._like(ring_values(R, acc, dx * dy * den))
+
     def __eq__(self, other):
         return (type(other) is type(self) and self.ring == other.ring
                 and self.lam == other.lam
                 and self.semigroup == other.semigroup
-                and self.terms == other.terms)
+                and self.code_terms == other.code_terms)
 
     def _listed(self):
         return sorted(self.terms, key=self.key_order,
                       reverse=self.descending)
 
     def render(self, ascii_mode=False):
-        if not self.terms:
+        if not self.code_terms:
             return "0"
         R = self.ring
         dot = "*" if ascii_mode else "·"
@@ -530,12 +550,24 @@ class TensorPoly(Combination):
         return word.pro_length_key
 
     @staticmethod
-    def code_key(word):
-        return None, word.codes
+    def code_key(word, codec=None):
+        """The code tuple of a word, which must be over codec if given."""
+        if codec is not None and word.codec is not codec and word.codes:
+            raise ValueError("word %r is not over this alphabet" % (word,))
+        return word.codes
 
-    @staticmethod
-    def key_of_code(codec, key):
-        return _from_codes(codec, key[1])
+    def _word_terms(self):
+        # _from_codes, inlined: a call per term costs a fifth of the view
+        codec, out = self.codec, {}
+        for t, c in self.code_terms.items():
+            w = _new_word(Word)
+            w.codes, w.codec = t, codec
+            w._letters = w._order = w._degree = None
+            out[w] = c
+        return out
+
+    # named in each class body, so a tracer can wrap each kind's product
+    mul_shared = Combination.mul_shared
 
     @staticmethod
     def _key_text(word, ascii_mode):
@@ -574,37 +606,25 @@ class TensorPoly(Combination):
     def max_degree(self):
         return max((w.degree for w in self.terms), default=0)
 
-    def mul_shared(self, other, memo):
-        """Product reusing a caller-held shuffle memo across many calls.
-
-        The memo belongs to this ring, weight and alphabet; reusing it
-        with others raises ValueError.  None shares nothing.
-        """
-        self._check(other)
-        R = self.ring
-        codec = memo_codec(memo, R, self.lam, self.semigroup)
-        (left, dx), (right, dy) = self._code_items(), other._code_items()
-        acc, den = shuffle_sum(R, self.lam, codec, memo, left, right)
-        return self._like(ring_values(R, acc.get(None, {}), dx * dy * den,
-                                      functools.partial(_from_codes, codec)))
-
     def shuffle_power(self, k):
         """k-th power, expanded multinomially into joint shuffles."""
         R = self.ring
         if k == 0:
             return TensorPoly.unit(R, self.lam, self.semigroup)
-        if not self.terms:
+        if not self.code_terms:
             return TensorPoly.zero(R, self.lam, self.semigroup)
-        codec = letter_codec(self.semigroup)
-        items = [(w, self.terms[w]) for w in self.support()]
-        words = [w.codes for w, _ in items]
-        nums, den = _integral([c for _, c in items])
+        codec = self.codec
+        sort_keys = codec.sort_keys
+        # factors in ascending pro-length order
+        words = sorted(self.code_terms, key=lambda t: (
+            len(t), [sort_keys[c] for c in t]))
+        nums, den = _integral([self.code_terms[t] for t in words])
         merge = not R.is_zero(self.lam)
         mod = R.modulus
         top = k * max(map(len, words)) if merge else 0
         acc = {}
         memo = {}
-        for alpha in _compositions(k, len(items)):
+        for alpha in _compositions(k, len(words)):
             coeff = _multinomial(k, alpha)
             factors = []
             for word, x, e in zip(words, nums, alpha):
@@ -620,8 +640,7 @@ class TensorPoly(Combination):
                                        memo).items():
                 acc[t] = get(t, 0) + w[size - len(t)] * c
         return self._like(ring_values(
-            R, acc, den ** k * self.lam.denominator ** top,
-            functools.partial(_from_codes, codec)))
+            R, acc, den ** k * self.lam.denominator ** top))
 
 
 def _multinomial(k, alpha):
@@ -661,14 +680,14 @@ def length_rescale(x, c):
     """
     R = x.ring
     cv = R.of(c)
-    terms = {w: R.mul(R.pow_(cv, w.length), coeff)
-             for w, coeff in x.terms.items()}
-    return TensorPoly(R, x.lam, x.semigroup, terms)
+    return x._like({t: v for t, coeff in x.code_terms.items()
+                    if not R.is_zero(v := R.mul(R.pow_(cv, len(t)), coeff))})
 
 
 def with_weight(x, lam):
     """The same combination of words, re-tagged with another weight."""
-    return TensorPoly(x.ring, lam, x.semigroup, dict(x.terms))
+    return TensorPoly._canonical(x.ring, x.ring.of(lam), x.semigroup,
+                                 dict(x.code_terms))
 
 
 class GradedComponent:

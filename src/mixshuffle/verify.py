@@ -257,10 +257,10 @@ class PresentedAlgebra:
 
     Images are kept in the code form of Combination.code_form and
     multiplied straight through shuffle_sum, so enumerating monomials
-    builds no Word, Fraction or element; monomials and power_of decode
-    what they return.  Generator images and powers and the shuffle memo
-    are cached on the instance, so evaluating all monomials of a window
-    shares almost all of the work.
+    builds no Word, Fraction or element; monomials and power_of wrap
+    what they return as elements, still without a Word.  Generator
+    images and powers and the shuffle memo are cached on the instance, so
+    evaluating all monomials of a window shares almost all of the work.
     """
 
     def __init__(self, ring, weight, semigroup, generators, unit,
@@ -297,16 +297,12 @@ class PresentedAlgebra:
         ring = self.ring
         (left, da), (right, db) = a, b
         acc, den = shuffle_sum(ring, self.unit.lam, self._codec, self._memo,
-                               left.items(), right.items(),
-                               heads=isinstance(self.unit, RBElement))
+                               left.items(), right.items(), self.unit.heads)
         mod = ring.modulus
-        terms = {}
-        for h, bucket in acc.items():
-            if mod is None:
-                terms.update({(h, t): x for t, x in bucket.items() if x})
-            else:
-                terms.update({(h, t): r for t, x in bucket.items()
-                              if (r := x % mod)})
+        if mod is None:
+            terms = {k: x for k, x in acc.items() if x}
+        else:
+            terms = {k: r for k, x in acc.items() if (r := x % mod)}
         return terms, den * da * db
 
     def decode(self, form):
@@ -315,14 +311,15 @@ class PresentedAlgebra:
                                               self.semigroup, form)
 
     def _power(self, index, exponent):
-        if exponent == 0:
-            return self.unit.code_form()
-        key = (index, exponent)
-        got = self._powers.get(key)
-        if got is None:
-            got = self.multiply(self._power(index, exponent - 1),
-                                self._image(index))
-            self._powers[key] = got
+        """A generator's image to a power, in code form, built up one
+        product at a time from the highest cached power below it."""
+        powers = self._powers
+        e = exponent
+        while e and (index, e) not in powers:
+            e -= 1
+        got = powers[index, e] if e else self.unit.code_form()
+        for e in range(e + 1, exponent + 1):
+            got = powers[index, e] = self.multiply(got, self._image(index))
         return got
 
     def power_of(self, index, exponent):
@@ -1027,7 +1024,7 @@ def compute_cokernel_basis(semigroup, weight, degree):
     lam = int(weight)
     ring = Ring.integers()
     rows = list(graded_basis(semigroup, degree))
-    index = {w: i for i, w in enumerate(rows)}
+    index = {w.codes: i for i, w in enumerate(rows)}
     m = len(rows)
     columns = []
     for i in range(1, degree // 2 + 1):
@@ -1037,11 +1034,11 @@ def compute_cokernel_basis(semigroup, weight, degree):
             for b_pos, b in enumerate(high):
                 if i == degree - i and b_pos < a_pos:
                     continue
-                prod = word_poly(ring, lam, semigroup, a.letters) * \
-                    word_poly(ring, lam, semigroup, b.letters)
+                prod = TensorPoly.from_word(ring, lam, semigroup, a) * \
+                    TensorPoly.from_word(ring, lam, semigroup, b)
                 column = [0] * m
-                for w, c in prod.terms.items():
-                    column[index[w]] = c
+                for t, c in prod.code_terms.items():
+                    column[index[t]] = c
                 columns.append(column)
     if columns:
         # the entries are canonical ints already: no per-entry coercion
@@ -1065,7 +1062,7 @@ def compute_cokernel_basis(semigroup, weight, degree):
         t = len(chosen_words)
         if t == coker_rank:
             break
-        j = index[w]
+        j = index[w.codes]
         if math.gcd(*[row[j] for row in reduced[t:]]) == 1:
             det *= _euclid_pivot(reduced, t, j)
             chosen_words.append(w)

@@ -1,0 +1,158 @@
+"""Products, powers and Rota-Baxter identities pinned end to end.
+
+Seeded inputs over Q, Z, F_3 and Z/3^6, at weights 0, 1, -1, 2 and 5/3
+(5/3 over Q only), on free:x,y and mu:3,1 (the Rota-Baxter side on the
+free monoid x,y with an identity adjoined, and on mu:3,1).  Every result
+must equal its oracle: shuffle_oracle for products, repeated binary
+products for powers, and for Rota-Baxter products the head product in
+front of shuffle_oracle of the tails.  Every result must also come back
+unchanged when rebuilt from its Word-keyed terms, and its JSON and text
+are pinned by one sha256 digest per family, so a change of term storage
+cannot change what a caller reads.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+from mixshuffle import (
+    FreeAbelian,
+    RBElement,
+    Ring,
+    TensorPoly,
+    Unitarized,
+    Word,
+    enumerate_words,
+    semigroup_from_preset,
+    shuffle_oracle,
+)
+from mixshuffle.rota_baxter import check_rb_identity
+
+RINGS = (Ring.rationals(), Ring.integers(), Ring.prime_field(3),
+         Ring.truncated_padic(3, 6))
+WEIGHTS = (0, 1, -1, 2, Fraction(5, 3))
+COEFFS = (1, -1, 2)
+
+# sha256 of the JSON and text of every result, in the order drawn
+DIGESTS = {
+    "products":
+        "8c0ab396ffc242febc092ebf168343607de0160d2648ca8d40c7ae20bf8e1ca6",
+    "powers":
+        "bc237318742a3888f5231a9deba3a263bb1ce99bfc20c706dfdf8ef9110dc946",
+    "rota_baxter":
+        "d2144d2781f4631bfc075f64c67b0e4db7d4902a9c1769afebe2c86c07888ed3",
+}
+
+
+def cells():
+    for ring in RINGS:
+        for lam in WEIGHTS:
+            if ring.kind == "Q" or Fraction(lam).denominator == 1:
+                yield ring, lam
+
+
+def draw_poly(rng, ring, lam, sg, words, most_terms):
+    terms = {}
+    for _ in range(rng.randint(1, most_terms)):
+        terms[rng.choice(words)] = rng.choice(COEFFS)
+    return TensorPoly(ring, lam, sg, terms)
+
+
+def draw_rb(rng, ring, lam, monoid, letters):
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        head = rng.choice(letters)
+        tail = Word(tuple(rng.choice(letters)
+                          for _ in range(rng.randint(0, 2))))
+        terms[(head, tail)] = rng.choice(COEFFS)
+    return RBElement(ring, lam, monoid, terms)
+
+
+def rb_oracle(x, y):
+    """Head products in front of the oracle's products of the tails."""
+    R, lam, S = x.ring, x.lam, x.semigroup
+    out = RBElement(R, lam, S, {})
+    for (h, u), c in x.terms.items():
+        for (g, v), d in y.terms.items():
+            tails = shuffle_oracle(TensorPoly.from_word(R, lam, S, u, c),
+                                   TensorPoly.from_word(R, lam, S, v, d))
+            out = out + RBElement(R, lam, S, {(h * g, w): e for w, e
+                                              in tails.terms.items()})
+    return out
+
+
+def pinned(results):
+    text = []
+    for r in results:
+        text.append(json.dumps(r.to_json(), sort_keys=True))
+        text.append(r.render())
+        text.append(repr(r))
+    return hashlib.sha256("\n".join(text).encode()).hexdigest()
+
+
+def assert_rebuilds(r):
+    assert type(r)(r.ring, r.lam, r.semigroup, r.terms) == r
+
+
+ALPHABETS = ("free:x,y", "mu:3,1")
+
+
+def test_products_match_oracle_and_pinned_text():
+    results = []
+    for name in ALPHABETS:
+        sg = semigroup_from_preset(name)
+        words = enumerate_words(sg, 6, 3)
+        for ring, lam in cells():
+            rng = random.Random("products/%s/%r/%s" % (name, ring, lam))
+            for _ in range(3):
+                a = draw_poly(rng, ring, lam, sg, words, 2)
+                b = draw_poly(rng, ring, lam, sg, words, 2)
+                r = a * b
+                assert r == shuffle_oracle(a, b)
+                assert_rebuilds(r)
+                results.append(r)
+    assert pinned(results) == DIGESTS["products"]
+
+
+def test_powers_match_repeated_products_and_pinned_text():
+    results = []
+    for name in ALPHABETS:
+        sg = semigroup_from_preset(name)
+        words = enumerate_words(sg, 4, 2)
+        for ring, lam in cells():
+            rng = random.Random("powers/%s/%r/%s" % (name, ring, lam))
+            for p in (2, 3):
+                poly = draw_poly(rng, ring, lam, sg, words, 2)
+                r = poly.shuffle_power(p)
+                want = TensorPoly.unit(ring, lam, sg)
+                for _ in range(p):
+                    want = want * poly
+                assert r == want
+                assert_rebuilds(r)
+                results.append(r)
+    assert pinned(results) == DIGESTS["powers"]
+
+
+def test_rota_baxter_identity_products_and_pinned_text():
+    results = []
+    monoids = (("free:x,y+1", Unitarized(FreeAbelian(["x", "y"]))),
+               ("mu:3,1", semigroup_from_preset("mu:3,1")))
+    for name, monoid in monoids:
+        letters = monoid.elements_up_to(2)
+        for ring, lam in cells():
+            rng = random.Random("rb/%s/%r/%s" % (name, ring, lam))
+            for _ in range(2):
+                x = draw_rb(rng, ring, lam, monoid, letters)
+                y = draw_rb(rng, ring, lam, monoid, letters)
+                assert check_rb_identity(x, y) == (True, None)
+                px, py = x.operator_p(), y.operator_p()
+                for r, want in ((x * y, rb_oracle(x, y)),
+                                (px * py, rb_oracle(px, py)),
+                                (x * py, rb_oracle(x, py))):
+                    assert r == want
+                    results.append(r)
+                results.extend([px, (x * py).operator_p()])
+                for r in results[-5:]:
+                    assert_rebuilds(r)
+    assert pinned(results) == DIGESTS["rota_baxter"]

@@ -32,6 +32,20 @@ def elem(ring, lam, m, head_name, tail_names, coeff=1):
     return RBElement.from_parts(ring, lam, m, head, tail, coeff)
 
 
+def test_keys_from_another_alphabet_are_rejected():
+    Q = Ring.rationals()
+    m, other = monoid("x", "y"), monoid("a", "b")
+    x, a = m.parse("x"), other.parse("a")
+    with pytest.raises(ValueError):
+        RBElement(Q, 0, m, {(a, empty_word()): 1})
+    with pytest.raises(ValueError):
+        RBElement(Q, 0, m, {(x, Word((a,))): 1})
+    again = monoid("x", "y")
+    key = (again.parse("x"), Word((again.parse("y"),)))
+    assert RBElement(Q, 0, m, {key: 2}).operator_p().terms == {
+        (m.identity, Word((x, m.parse("y")))): 2}
+
+
 def test_one_is_neutral():
     Q = Ring.rationals()
     m = monoid("x")

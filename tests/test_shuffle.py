@@ -197,6 +197,36 @@ def test_shared_memo_is_tied_to_ring_weight_and_alphabet():
     assert c.mul_shared(d, memo) == a * b
 
 
+def test_keys_from_another_alphabet_are_rejected():
+    Q = Ring.rationals()
+    f = semigroup_from_preset("free:x,y")
+    abc = FreeAbelian(["a", "b", "c"])
+    ab = Word((abc.parse("a"), abc.parse("b")))
+    # its codes would be read as letters of x,y
+    with pytest.raises(ValueError):
+        TensorPoly(Q, 0, f, {ab: 1})
+    with pytest.raises(ValueError):
+        TensorPoly.from_word(Q, 0, f, ab, 0)
+    # the empty word is over every alphabet, and an equal alphabet built
+    # afresh is the same alphabet
+    assert TensorPoly(Q, 0, f, {Word(()): 1}) == TensorPoly.unit(Q, 0, f)
+    again = FreeAbelian(["x", "y"])
+    yx = Word((again.parse("y"), again.parse("x")))
+    assert (TensorPoly(Q, 0, f, {yx: 1}) * TensorPoly.unit(Q, 0, f)).terms \
+        == {yx: 1}
+
+
+def test_terms_view_is_read_only_and_cached():
+    Q = Ring.rationals()
+    f = FreeAbelian(["x", "y"])
+    prod = poly_of(Q, 1, f, ["x"]) * poly_of(Q, 1, f, ["y"])
+    view = prod.terms
+    assert prod.terms is view
+    assert view[Word((f.parse("x*y"),))] == 1
+    with pytest.raises(TypeError):
+        view[Word(())] = 1
+
+
 def test_ordered_set_merges():
     # zero-multiplication alphabet: fine at weight 0, refuses otherwise
     Q = Ring.rationals()

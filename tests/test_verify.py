@@ -381,9 +381,30 @@ def test_monomials_do_not_recurse_per_generator():
     count = sys.getrecursionlimit() + 50
     alg = PresentedAlgebra(Q, 0, f, [sym] * count, TensorPoly.unit(Q, 0, f))
     buckets = alg.monomials_by_degree(2)
-    # images come in code form: ({(head code, code tuple): integer}, den)
-    assert buckets == {0: [("1", ({(None, ()): 1}, 1))], 1: [], 2: []}
+    # images come in code form: ({code tuple: integer}, den)
+    assert buckets == {0: [("1", ({(): 1}, 1))], 1: [], 2: []}
     assert alg.monomials(0) == [("1", alg.unit)]
+
+
+def test_generator_powers_do_not_recurse_per_exponent():
+    F2 = Ring.prime_field(2)
+    f = FreeAbelian(["x"])
+    x = f.parse("x")
+    alg = PresentedAlgebra(F2, 0, f, [word_symbol(F2, 0, f, Word((x,)))],
+                           TensorPoly.unit(F2, 0, f))
+    assert alg.power_of(0, 1500).is_zero()
+    # over Q the cached powers are the repeated products, and a higher
+    # power is built on the cached ones
+    Q = Ring.rationals()
+    image = word_poly(Q, 1, f, (x,)) + word_poly(Q, 1, f, (x ** 2,))
+    sym = GeneratorSymbol("g", image, 2, 1)
+    alg = PresentedAlgebra(Q, 1, f, [sym], TensorPoly.unit(Q, 1, f))
+    want = TensorPoly.unit(Q, 1, f)
+    for e in range(1, 5):
+        want = want * image
+        assert alg.power_of(0, e) == want
+    assert alg.power_of(0, 7) == want * image * image * image
+    assert sorted(alg._powers) == [(0, e) for e in range(1, 8)]
 
 
 def test_failing_report_has_exit_code_one():
