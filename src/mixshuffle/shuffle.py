@@ -46,7 +46,7 @@ from types import MappingProxyType
 
 from .rings import Q, Ring
 from .semigroups import OrderedSemigroup, _compositions, letter_codec
-from .words import Word, _new as _new_word, cfl_factorize, \
+from .words import Word, _from_codes, cfl_factorize, \
     componentwise_p_power, empty_word, enumerate_words
 
 
@@ -373,7 +373,8 @@ class Combination:
     and tail's is (head code, tail code tuple).  Products, sums, scaling
     and equality are dict work on these keys.  The constructor is the one
     place keys are converted and rejects keys from another alphabet;
-    terms is a read-only view keyed by words, built on first access.
+    terms is a read-only view keyed by words, built on first access and
+    kept, so an element whose terms were read holds both dicts.
     """
 
     __slots__ = ("ring", "lam", "semigroup", "codec", "code_terms", "_terms")
@@ -557,14 +558,8 @@ class TensorPoly(Combination):
         return word.codes
 
     def _word_terms(self):
-        # _from_codes, inlined: a call per term costs a fifth of the view
-        codec, out = self.codec, {}
-        for t, c in self.code_terms.items():
-            w = _new_word(Word)
-            w.codes, w.codec = t, codec
-            w._letters = w._order = w._degree = None
-            out[w] = c
-        return out
+        codec = self.codec
+        return {_from_codes(codec, t): c for t, c in self.code_terms.items()}
 
     # named in each class body, so a tracer can wrap each kind's product
     mul_shared = Combination.mul_shared
@@ -614,11 +609,8 @@ class TensorPoly(Combination):
         if not self.code_terms:
             return TensorPoly.zero(R, self.lam, self.semigroup)
         codec = self.codec
-        sort_keys = codec.sort_keys
-        # factors in ascending pro-length order
-        words = sorted(self.code_terms, key=lambda t: (
-            len(t), [sort_keys[c] for c in t]))
-        nums, den = _integral([self.code_terms[t] for t in words])
+        words = list(self.code_terms)
+        nums, den = _integral(list(self.code_terms.values()))
         merge = not R.is_zero(self.lam)
         mod = R.modulus
         top = k * max(map(len, words)) if merge else 0
