@@ -81,6 +81,9 @@ class Ring:
             if x.denominator == 1:
                 return self.of(int(x))
             if self.modulus is not None:
+                if not self.is_unit(x.denominator):
+                    raise ValueError("%s is not in ring %r: its denominator "
+                                     "is not a unit" % (x, self))
                 den = self.inverse(x.denominator % self.modulus)
                 return (x.numerator * den) % self.modulus
             raise ValueError("non-integer value %s in ring %s" % (x, self.kind))
@@ -161,6 +164,8 @@ class Ring:
             if a in (1, -1):
                 return a
             raise ZeroDivisionError("%d is not a unit in Z" % a)
+        if not self.is_unit(a):
+            raise ZeroDivisionError("%d is not a unit in %r" % (a, self))
         return pow(a, -1, self.modulus)
 
     def divide(self, a, b):

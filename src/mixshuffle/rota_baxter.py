@@ -51,10 +51,10 @@ class RBElement(Combination):
             raise ValueError("head %r is not over this alphabet" % (head,))
         return head.code, TensorPoly.code_key(tail, codec)
 
-    def _word_terms(self):
+    def _word_keys(self):
         codec = self.codec
-        return {(codec.elements[h], _from_codes(codec, t)): c
-                for (h, t), c in self.code_terms.items()}
+        return [(codec.elements[h], _from_codes(codec, t))
+                for h, t in self.code_terms]
 
     mul_shared = Combination.mul_shared
 
@@ -89,6 +89,8 @@ class RBElement(Combination):
         return max((h.degree + t.degree for h, t in self.terms), default=0)
 
     def power(self, k):
+        if k < 0:
+            raise ValueError("negative power %d" % k)
         out = RBElement.one(self.ring, self.lam, self.semigroup)
         for _ in range(k):
             out = out * self
@@ -98,7 +100,7 @@ class RBElement(Combination):
         """Shift each head into its tail, identity becomes the head."""
         e = self.semigroup.identity.code
         return self._like({(e, (h,) + t): c
-                           for (h, t), c in self.code_terms.items()})
+                           for (h, t), c in self.code_terms.items()}, self.den)
 
 
 def check_rb_identity(x, y):

@@ -30,6 +30,8 @@ import functools
 import itertools
 import json
 
+from .rings import _is_prime
+
 
 @functools.total_ordering
 class Element:
@@ -540,8 +542,8 @@ class ElementaryPGroup(OrderedSemigroup):
     has_identity = True
 
     def __init__(self, p, copies=1):
-        if p < 2:
-            raise ValueError("p must be a prime")
+        if not _is_prime(p):
+            raise ValueError("p must be a prime, got %r" % (p,))
         self.p = p
         self.copies = copies
         self.identity_key = (0,) * copies

@@ -24,12 +24,12 @@ LetterCodec, words are code tuples, and coefficients are plain integers:
 the number of ways to reach a word, reduced mod the ring's modulus when
 it has one.  A word with k merged slots carries lambda^k, which depends
 on its length alone, so the weight and the input coefficients are
-applied once per result word.  Elements store their terms in that code
-form too, keyed by code tuples, so a product reads its operands and
-files its result without building a Word; shuffle_sum takes the same
-integer code form, so the structure verifiers multiply monomial images
-without leaving it.  Words are built only when a caller reads the
-Word-keyed terms of an element, once per element.
+applied once per result word.  Elements store their terms in the form
+shuffle_sum multiplies: integer numerators keyed by code tuples over one
+denominator, which is 1 except over Q.  So a product reads its operands
+and files its result without building a Word or a Fraction.  Words and
+ring values are built only when a caller reads the Word-keyed terms of
+an element, once per element.
 
 Powers are not computed by repeated binary products.  A k-fold shuffle
 collapses to a walk over tuples of consumed-prefix lengths, and factors
@@ -106,27 +106,23 @@ def shuffle_letters_oracle(u, v, ring, lam):
 _CONTEXT = "context"
 
 
-def memo_codec(memo, ring, lam, semigroup):
-    """The codec of a caller-held shuffle memo (or of no memo, None).
+def check_memo(memo, ring, lam, semigroup):
+    """Tie a caller-held shuffle memo (or no memo, None) to one ring,
+    weight and alphabet.
 
     A memo holds products for one ring, weight and alphabet; the first
     call tags it with them and a later call with others raises instead
     of reading products that do not apply.
     """
     if memo is None:
-        return letter_codec(semigroup)
-    ctx = memo.get(_CONTEXT)
-    if ctx is None:
-        codec = letter_codec(semigroup)
-        memo[_CONTEXT] = (ring, lam, semigroup, codec)
-        return codec
+        return
+    ctx = memo.setdefault(_CONTEXT, (ring, lam, semigroup))
     if (ctx[0] is not ring or ctx[2] is not semigroup or ctx[1] != lam) \
-            and ctx[:3] != (ring, lam, semigroup):
+            and ctx != (ring, lam, semigroup):
         raise ValueError(
             "shuffle memo was filled over %r at weight %s on %r, not over "
             "%r at weight %s on %r" % (ctx[0], ctx[1], ctx[2], ring, lam,
                                        semigroup))
-    return ctx[3]
 
 
 def _add_prefixed(acc, letter, src, mod):
@@ -288,12 +284,6 @@ def _moves(state, codec, merge, mod):
     return out
 
 
-def _integral(values):
-    """Integer numerators of exact values over their common denominator."""
-    den = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _weights(ring, scale, lam, top, most):
     """scale * lam^k * den(lam)^(top-k) as integers for k = 0..most, so
     that dividing by den(lam)^top gives scale * lam^k."""
@@ -304,17 +294,6 @@ def _weights(ring, scale, lam, top, most):
         w = scale * num ** k * den ** (top - k)
         out.append(w if mod is None else w % mod)
     return out
-
-
-def ring_values(ring, raw, den):
-    """{k: x / den} over the raw integers x that do not vanish in the
-    ring, as canonical ring values."""
-    mod = ring.modulus
-    if mod is not None:
-        return {k: r for k, x in raw.items() if (r := x % mod)}
-    if ring.kind == Q:
-        return {k: Fraction(x, den) for k, x in raw.items() if x}
-    return {k: x for k, x in raw.items() if x}
 
 
 def shuffle_sum(ring, lam, codec, memo, left, right, heads=False):
@@ -368,16 +347,21 @@ class Combination:
     not, and writes one key as text and JSON.  Operands of two different
     subclasses never combine.
 
-    code_terms holds {code key: nonzero canonical value} beside the
-    alphabet's LetterCodec: a word's code key is its code tuple, a head
-    and tail's is (head code, tail code tuple).  Products, sums, scaling
-    and equality are dict work on these keys.  The constructor is the one
-    place keys are converted and rejects keys from another alphabet;
-    terms is a read-only view keyed by words, built on first access and
-    kept, so an element whose terms were read holds both dicts.
+    Terms are held in the form shuffle_sum multiplies: code_terms maps
+    each code key (a word's code tuple, or a head and tail's pair (head
+    code, tail code tuple)) to a nonzero integer, and the coefficient is
+    that integer over den.  den is 1 except over Q, where it is the lcm
+    of the coefficients' denominators, so no factor is common to den and
+    every numerator; over F_p and Z/p^N the integers are the canonical
+    residues.  Every element is reduced this way by _like, so products,
+    sums, scaling and equality are dict work on integers.  The
+    constructor is the one place keys are converted and rejects keys
+    from another alphabet; terms is a read-only view keyed by words with
+    canonical ring values, built on first access and kept.
     """
 
-    __slots__ = ("ring", "lam", "semigroup", "codec", "code_terms", "_terms")
+    __slots__ = ("ring", "lam", "semigroup", "codec", "code_terms", "den",
+                 "_terms")
 
     # render and to_json list terms in this direction of key_order
     descending = False
@@ -388,46 +372,56 @@ class Combination:
         self.ring, self.lam, self.semigroup = ring, ring.of(lam), semigroup
         self.codec, self._terms = letter_codec(semigroup), None
         clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                k = self.code_key(key, self.codec)
-                c = ring.of(coeff)
-                if not ring.is_zero(c):
-                    clean[k] = c
+        for key, coeff in (terms or {}).items():
+            k = self.code_key(key, self.codec)
+            c = ring.of(coeff)
+            if c:
+                clean[k] = c
+        self.den = 1
+        if ring.kind == Q:
+            self.den = den = math.lcm(*[c.denominator for c in clean.values()])
+            clean = {k: c.numerator * (den // c.denominator)
+                     for k, c in clean.items()}
         self.code_terms = clean
 
     @classmethod
-    def _canonical(cls, ring, lam, semigroup, code_terms):
-        """Wrap code terms that already hold nonzero canonical values."""
+    def _canonical(cls, ring, lam, semigroup, code_terms, den):
+        """Wrap code terms and a denominator that are already reduced."""
         out = cls.__new__(cls)
-        out.ring, out.lam, out.semigroup, out.codec, out.code_terms = \
-            ring, lam, semigroup, letter_codec(semigroup), code_terms
-        out._terms = None
+        out.ring, out.lam, out.semigroup, out.codec = \
+            ring, lam, semigroup, letter_codec(semigroup)
+        out.code_terms, out.den, out._terms = code_terms, den, None
         return out
 
-    def _like(self, code_terms):
-        return self._canonical(self.ring, self.lam, self.semigroup,
-                               code_terms)
+    def _like(self, raw, den=1):
+        """The element over this ring, weight and alphabet whose
+        coefficient at each code key k is raw[k] / den, for integers
+        raw[k] and a positive den, 1 unless the ring is Q: residues mod
+        the ring's modulus, or the fraction reduced by its gcd."""
+        mod = self.ring.modulus
+        if mod is not None:
+            raw = {k: r for k, x in raw.items() if (r := x % mod)}
+        else:
+            raw = {k: x for k, x in raw.items() if x}
+            if den != 1:
+                g = math.gcd(den, *raw.values())
+                if g != 1:
+                    raw = {k: x // g for k, x in raw.items()}
+                    den //= g
+        return self._canonical(self.ring, self.lam, self.semigroup, raw, den)
 
     @property
     def terms(self):
         """{key: value} keyed by words, read-only; built once."""
         view = self._terms
         if view is None:
-            view = self._terms = MappingProxyType(self._word_terms())
+            values = self.code_terms.values()
+            if self.ring.kind == Q:
+                den = self.den
+                values = [Fraction(x, den) for x in values]
+            view = self._terms = MappingProxyType(
+                dict(zip(self._word_keys(), values)))
         return view
-
-    def code_form(self):
-        """The terms in code form: ({code key: integer}, den), each value
-        its integer over den."""
-        nums, den = _integral(list(self.code_terms.values()))
-        return dict(zip(self.code_terms, nums)), den
-
-    @classmethod
-    def from_code_form(cls, ring, lam, semigroup, form):
-        """The element with these terms in code form (see code_form)."""
-        return cls._canonical(ring, ring.of(lam), semigroup,
-                              ring_values(ring, *form))
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -446,24 +440,26 @@ class Combination:
 
     def __add__(self, other):
         self._check(other)
-        acc = dict(self.code_terms)
-        R = self.ring
-        for k, c in other.code_terms.items():
-            _accumulate(acc, R, k, c)
-        return self._like(acc)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        acc = {k: x * a for k, x in self.code_terms.items()}
+        get = acc.get
+        acc.update({k: get(k, 0) + x * b
+                    for k, x in other.code_terms.items()})
+        return self._like(acc, den)
 
     def __neg__(self):
-        R = self.ring
-        return self._like({k: R.neg(c) for k, c in self.code_terms.items()})
+        return self._like({k: -x for k, x in self.code_terms.items()},
+                          self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        R = self.ring
-        cv = R.of(c)
-        return self._like({k: x for k, v in self.code_terms.items()
-                           if not R.is_zero(x := R.mul(cv, v))})
+        c = self.ring.of(c)
+        num = c.numerator
+        return self._like({k: x * num for k, x in self.code_terms.items()},
+                          self.den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, Combination):
@@ -479,17 +475,23 @@ class Combination:
         with others raises ValueError.  None shares nothing.
         """
         self._check(other)
-        R = self.ring
-        codec = memo_codec(memo, R, self.lam, self.semigroup)
-        (left, dx), (right, dy) = self.code_form(), other.code_form()
-        acc, den = shuffle_sum(R, self.lam, codec, memo, left.items(),
-                               right.items(), self.heads)
-        return self._like(ring_values(R, acc, dx * dy * den))
+        check_memo(memo, self.ring, self.lam, self.semigroup)
+        return self._times(other, memo)
+
+    def _times(self, other, memo):
+        """The product with an operand of the same kind, ring, weight
+        and alphabet, sharing memo (a dict that holds products over these
+        only, or None); neither is checked."""
+        acc, den = shuffle_sum(self.ring, self.lam, self.codec, memo,
+                               self.code_terms.items(),
+                               other.code_terms.items(), self.heads)
+        return self._like(acc, self.den * other.den * den)
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.ring == other.ring
                 and self.lam == other.lam
                 and self.semigroup == other.semigroup
+                and self.den == other.den
                 and self.code_terms == other.code_terms)
 
     def _listed(self):
@@ -557,9 +559,9 @@ class TensorPoly(Combination):
             raise ValueError("word %r is not over this alphabet" % (word,))
         return word.codes
 
-    def _word_terms(self):
+    def _word_keys(self):
         codec = self.codec
-        return {_from_codes(codec, t): c for t, c in self.code_terms.items()}
+        return [_from_codes(codec, t) for t in self.code_terms]
 
     # named in each class body, so a tracer can wrap each kind's product
     mul_shared = Combination.mul_shared
@@ -604,22 +606,22 @@ class TensorPoly(Combination):
     def shuffle_power(self, k):
         """k-th power, expanded multinomially into joint shuffles."""
         R = self.ring
+        if k < 0:
+            raise ValueError("negative shuffle power %d" % k)
         if k == 0:
             return TensorPoly.unit(R, self.lam, self.semigroup)
         if not self.code_terms:
             return TensorPoly.zero(R, self.lam, self.semigroup)
         codec = self.codec
-        words = list(self.code_terms)
-        nums, den = _integral(list(self.code_terms.values()))
         merge = not R.is_zero(self.lam)
         mod = R.modulus
-        top = k * max(map(len, words)) if merge else 0
+        top = k * max(map(len, self.code_terms)) if merge else 0
         acc = {}
         memo = {}
-        for alpha in _compositions(k, len(words)):
+        for alpha in _compositions(k, len(self.code_terms)):
             coeff = _multinomial(k, alpha)
             factors = []
-            for word, x, e in zip(words, nums, alpha):
+            for (word, x), e in zip(self.code_terms.items(), alpha):
                 if e:
                     coeff *= x ** e
                     factors.extend([word] * e)
@@ -631,8 +633,7 @@ class TensorPoly(Combination):
             for t, c in _multi_shuffle(factors, codec, merge, mod,
                                        memo).items():
                 acc[t] = get(t, 0) + w[size - len(t)] * c
-        return self._like(ring_values(
-            R, acc, den ** k * self.lam.denominator ** top))
+        return self._like(acc, self.den ** k * self.lam.denominator ** top)
 
 
 def _multinomial(k, alpha):
@@ -670,16 +671,17 @@ def length_rescale(x, c):
     With c invertible this is the map that identifies the product at
     weight lambda with the product at weight c*lambda.
     """
-    R = x.ring
-    cv = R.of(c)
-    return x._like({t: v for t, coeff in x.code_terms.items()
-                    if not R.is_zero(v := R.mul(R.pow_(cv, len(t)), coeff))})
+    c = x.ring.of(c)
+    num, den = c.numerator, c.denominator
+    top = max(map(len, x.code_terms), default=0)
+    return x._like({t: v * num ** len(t) * den ** (top - len(t))
+                    for t, v in x.code_terms.items()}, x.den * den ** top)
 
 
 def with_weight(x, lam):
     """The same combination of words, re-tagged with another weight."""
     return TensorPoly._canonical(x.ring, x.ring.of(lam), x.semigroup,
-                                 dict(x.code_terms))
+                                 dict(x.code_terms), x.den)
 
 
 class GradedComponent:

@@ -18,16 +18,16 @@ algebra.  What "comparison" means depends on the coefficient ring:
   square system of full rank mod p has unit determinant and stays a basis
   at any precision.
 
-Monomial images stay in the integer code form of the product kernels
-(letter-code keys, integer numerators over one denominator) from their
-generators to the cells.  Each cell driver sorts its window's rows once
-and keys every column by row rank, so the eliminators hash and compare
+Monomial images are elements from their generators to the cells, and
+elements hold integer numerators over one denominator keyed by letter
+codes.  Each cell driver sorts its window's rows once and keys every
+column's numerators by row rank, so the eliminators hash and compare
 plain ints.  Over Q a cell is first eliminated mod the 61-bit prime
 P = 2^61 - 1: a minor that is nonzero mod P is nonzero over Q, so a full
 rank mod P certifies the cell, and only a deficient one is eliminated
 again exactly, with tracking where a counterexample is to be named.
-Over F_p the same untracked pass runs mod p.  Words and elements are
-decoded only for notes, counterexamples and the public accessors.
+Over F_p the same untracked pass runs mod p.  No monomial's terms are
+read as Words or Fractions on the way to a cell.
 
 One helper computes the rank of a cell for every ring (and over Z its
 elementary divisors); the spanning check reads its verdict off that rank
@@ -53,8 +53,7 @@ from .words import Word, empty_word, enumerate_words, enumerate_lyndon, \
     operator_T, standard_generating_sets, tel2_orbit_check, \
     componentwise_p_power
 from .shuffle import TensorPoly, word_poly, graded_basis, \
-    eettl_representative, length_rescale, memo_codec, shuffle_sum, \
-    with_weight
+    eettl_representative, length_rescale, with_weight
 from .rota_baxter import RBElement, alphabet_generators
 
 
@@ -255,12 +254,12 @@ class PresentedAlgebra:
     counts are the right accounting.  When a length bound is given the
     additive leading-length budget prunes the same way.
 
-    Images are kept in the code form of Combination.code_form and
-    multiplied straight through shuffle_sum, so enumerating monomials
-    builds no Word, Fraction or element; monomials and power_of wrap
-    what they return as elements, still without a Word.  Generator
-    images and powers and the shuffle memo are cached on the instance, so
-    evaluating all monomials of a window shares almost all of the work.
+    Generator images, their powers and the monomials are elements,
+    multiplied through the elements' own product body on one shuffle
+    memo: compatibility is checked once, in the constructor, so a product
+    builds no Word or Fraction and checks nothing.  Powers, monomials
+    and the memo are cached on the instance, so evaluating all monomials
+    of a window shares almost all of the work.
     """
 
     def __init__(self, ring, weight, semigroup, generators, unit,
@@ -271,6 +270,8 @@ class PresentedAlgebra:
         self.generators = list(generators)
         self.unit = unit
         self.length_bound = length_bound
+        if unit.ring != ring or unit.semigroup != semigroup:
+            raise ValueError("unit is not over %r on %r" % (ring, semigroup))
         for g in self.generators:
             if g.degree == 0 and length_bound is None and g.cap is None:
                 raise ConfigurationError(
@@ -281,53 +282,30 @@ class PresentedAlgebra:
                     and g.image.max_degree() != g.degree:
                 raise ValueError("symbol degree of %s differs from its image"
                                  % g.name)
-        self._images = None
         self._powers = {}
         self._memo = {}
-        self._codec = memo_codec(self._memo, ring, unit.lam, semigroup)
         self._buckets = {}
 
-    def _image(self, index):
-        if self._images is None:
-            self._images = [g.image.code_form() for g in self.generators]
-        return self._images[index]
-
     def multiply(self, a, b):
-        """The product of two images in code form, in code form."""
-        ring = self.ring
-        (left, da), (right, db) = a, b
-        acc, den = shuffle_sum(ring, self.unit.lam, self._codec, self._memo,
-                               left.items(), right.items(), self.unit.heads)
-        mod = ring.modulus
-        if mod is None:
-            terms = {k: x for k, x in acc.items() if x}
-        else:
-            terms = {k: r for k, x in acc.items() if (r := x % mod)}
-        return terms, den * da * db
+        """The product of two elements over this algebra, on its memo."""
+        return a._times(b, self._memo)
 
-    def decode(self, form):
-        """The element with this image in code form."""
-        return type(self.unit).from_code_form(self.ring, self.unit.lam,
-                                              self.semigroup, form)
-
-    def _power(self, index, exponent):
-        """A generator's image to a power, in code form, built up one
-        product at a time from the highest cached power below it."""
+    def power_of(self, index, exponent):
+        """A generator's image to a power, built up one product at a time
+        from the highest cached power below it."""
         powers = self._powers
         e = exponent
         while e and (index, e) not in powers:
             e -= 1
-        got = powers[index, e] if e else self.unit.code_form()
+        got = powers[index, e] if e else self.unit
+        image = self.generators[index].image
         for e in range(e + 1, exponent + 1):
-            got = powers[index, e] = self.multiply(got, self._image(index))
+            got = powers[index, e] = self.multiply(got, image)
         return got
-
-    def power_of(self, index, exponent):
-        return self.decode(self._power(index, exponent))
 
     def monomials_by_degree(self, degree_bound):
         """All admissible monomials with total symbol degree <= the bound,
-        bucketed by that degree, each as (name, image in code form).
+        bucketed by that degree, each as (name, image).
 
         A name joins generator powers with "*", as g or g^e; a generator
         name that is neither a bare identifier nor one bracket group is
@@ -363,22 +341,22 @@ class PresentedAlgebra:
         # depth-first over exponent choices, generator by generator: the
         # exponent 0 branch first, then 1, 2, ...; generators that do not
         # fit even once are passed over without nodes of their own
-        stack = [(0, 0, 0, (), self.unit.code_form())]
+        stack = [(0, 0, 0, (), self.unit)]
         while stack:
-            i, deg_used, len_used, parts, form = stack.pop()
+            i, deg_used, len_used, parts, image = stack.pop()
             row = skip[degree_bound - deg_used]
             i = row[i]
             while i < len(gens) and not fits(gens[i], 1, deg_used, len_used):
                 i = row[i + 1]
             if i == len(gens):
-                buckets[deg_used].append(("*".join(parts) or "1", form))
+                buckets[deg_used].append(("*".join(parts) or "1", image))
                 continue
             g = gens[i]
-            children = [(i + 1, deg_used, len_used, parts, form)]
+            children = [(i + 1, deg_used, len_used, parts, image)]
             e = 1
-            cur = form
+            cur = image
             while fits(g, e, deg_used, len_used):
-                cur = self.multiply(cur, self._image(i))
+                cur = self.multiply(cur, g.image)
                 label = labels[i] if e == 1 else "%s^%d" % (labels[i], e)
                 children.append((i + 1, deg_used + e * g.degree,
                                  len_used + e * g.lead_length,
@@ -390,8 +368,7 @@ class PresentedAlgebra:
 
     def monomials(self, degree):
         """(name, image) pairs for the monomials of this exact degree."""
-        return [(name, self.decode(form)) for name, form
-                in self.monomials_by_degree(degree).get(degree, [])]
+        return list(self.monomials_by_degree(degree).get(degree, []))
 
 
 def check_relations(algebra, max_length=None):
@@ -456,15 +433,15 @@ def _ranks(kind, rows):
 
 
 def _ranked(rank, cols):
-    """The columns, (name, image in code form), whose keys all lie in the
-    window, each as (name, {rank: integer}, den), and a note naming the
-    first column that leaves it (None when none does)."""
+    """The columns, (name, image), whose keys all lie in the window, each
+    as (name, image, {rank: numerator}), and a note naming the first
+    column that leaves it (None when none does)."""
     inside = []
     note = None
-    for name, (terms, den) in cols:
+    for name, image in cols:
         try:
-            inside.append((name, {rank[k]: x for k, x in terms.items()},
-                           den))
+            inside.append((name, image, {rank[k]: x for k, x
+                                         in image.code_terms.items()}))
         except KeyError:
             if note is None:
                 note = "image of %s leaves the window" % name
@@ -529,7 +506,7 @@ def _filtered_cells(report, field, kind, rows_by_degree, cols_by_degree):
     fast = SparseEliminator(_modular_field(field))
     exact = None
     if not all(fast.insert(vec) for _, inside, _ in ranked
-               for _, vec, _ in inside):
+               for _, _, vec in inside):
         exact = SparseEliminator(field, track=True)
     for n, inside, note in ranked:
         dim = len(rows_by_degree.get(n, ()))
@@ -537,8 +514,8 @@ def _filtered_cells(report, field, kind, rows_by_degree, cols_by_degree):
         increment = len(inside)
         if exact is not None:
             increment = 0
-            for name, vec, den in inside:
-                vec = _field_values(vec, den)
+            for name, image, vec in inside:
+                vec = _field_values(vec, image.den)
                 if exact.insert(vec, tag=name):
                     increment += 1
                 elif report.counterexample is None:
@@ -569,7 +546,7 @@ def _square_cells(ring, kind, rows_by_degree, cols_by_degree):
         else:
             inside, note = _ranked(_ranks(kind, keys), cols)
         if note is None:
-            rank, divisors = _cell_rank(ring, [vec for _, vec, _ in inside])
+            rank, divisors = _cell_rank(ring, [vec for _, _, vec in inside])
             if divisors is None:
                 if not len(keys) == len(cols) == rank:
                     note = "determinant not a unit"
@@ -601,16 +578,17 @@ def check_independence(algebra, degree):
     """
     ring = algebra.ring
     cols = algebra.monomials_by_degree(degree).get(degree, [])
-    universe = {k for _, (vec, _) in cols for k in vec}
-    rank, divisors = _cell_rank(ring, [vec for _, (vec, _) in cols])
+    universe = {k for _, image in cols for k in image.code_terms}
+    rank, divisors = _cell_rank(ring, [image.code_terms
+                                       for _, image in cols])
     ok = rank == len(cols) and all(d == 1 for d in divisors or ())
     note = None
     if not ok:
         if ring.is_field:
             # name the first monomial in the span of the ones before it
             elim = SparseEliminator(ring, track=True)
-            for name, (vec, den) in cols:
-                vec = _field_values(vec, den)
+            for name, image in cols:
+                vec = _field_values(image.code_terms, image.den)
                 if not elim.insert(vec, tag=name):
                     note = _dependency(elim, name, vec)
                     break
@@ -643,7 +621,7 @@ def check_spanning(algebra, degree):
     if note is not None:
         return CellRecord(degree, len(rows), len(cols), 0, False, note)
     # columns over Q are scaled to their numerators: the same span
-    vectors = [vec for _, vec, _ in inside]
+    vectors = [vec for _, _, vec in inside]
     rank, divisors = _cell_rank(ring, vectors)
     ok = rank == len(rows) and all(d == 1 for d in divisors or ())
     if not ok:
@@ -1317,7 +1295,7 @@ def _verify_rbazp(alphabet, p, precision, weight, degree_bound):
         inside, note = _ranked(_ranks(RBElement, keys), cols)
         rank = 0
         if note is None:
-            rank, _ = _cell_rank(ring, [vec for _, vec, _ in inside])
+            rank, _ = _cell_rank(ring, [vec for _, _, vec in inside])
             if rank != len(cols):
                 note = "dependent monomials mod %d" % p
         report.cells.append(CellRecord(n, len(keys), len(cols), rank,
@@ -1368,7 +1346,7 @@ def _verify_rbaz(alphabet, weight, degree_bound, length_bound):
         cols = list(buckets.get(n, []))
         for key in interior:
             cols.append(("N:%s" % _key_text(key),
-                         ({RBElement.code_key(key): 1}, 1)))
+                         RBElement(ring, lam, monoid, {key: 1})))
         cols_by_degree[n] = cols
     report.cells.extend(_square_cells(ring, RBElement,
                                       rows_by_degree, cols_by_degree))
@@ -1527,7 +1505,8 @@ def _rbafp_case(case, alphabet, p, weight, degree_bound, length_bound):
         tail_buckets = tail_algebra.monomials_by_degree(degree_bound)
         cols = {n: [] for n in range(degree_bound + 1)}
         for head in semigroup.elements_up_to(degree_bound):
-            bare = ({(head.code, ()): 1}, 1)
+            bare = RBElement.from_parts(ring, lam, semigroup, head,
+                                        empty_word())
             for d in range(degree_bound - head.degree + 1):
                 for name, mono in tail_buckets.get(d, []):
                     label = head.name if name == "1" \

@@ -3,9 +3,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 from mixshuffle import FreeAbelian, Ring, TensorPoly, Word
 from mixshuffle.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def run(*argv):
@@ -244,3 +250,30 @@ def test_sixty_one_bit_prime_field():
     rc, out, _ = run("mul", "x", "x", "--ring", "Fp",
                      "--p", str(2 ** 61 - 1))
     assert (rc, out) == (0, "2·x⊗x\n")
+
+
+def test_non_prime_group_alphabet_exits_2():
+    # a malformed alphabet is bad input, not a falsified theorem
+    rc, out, err = run("verify", "props", "--sg", "mu:4,1", "--p", "2",
+                       "--deg", "3", "--len", "3")
+    assert (rc, out) == (2, "")
+    assert "p must be a prime" in err
+
+
+def test_weight_outside_the_ring_exits_2():
+    rc, out, err = run("mul", "x", "x", "--ring", "Fp", "--p", "3",
+                       "--lambda", "1/3")
+    assert (rc, out) == (2, "")
+    assert "1/3 is not in ring F3" in err
+
+
+def test_runs_as_a_module_from_the_source_tree():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for argv, code in (
+            (["verify", "msq", "--sg", "free:x,y", "--lambda", "5/3",
+              "--deg", "5"], 0),
+            (["verify", "radford", "--deg", "-1"], 2)):
+        done = subprocess.run([sys.executable, "-m", "mixshuffle"] + argv,
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == code, (argv, done.stderr)

@@ -6,6 +6,7 @@ checked against an independent computation, not against itself.
 """
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -52,6 +53,27 @@ def test_prime_field_coerces_fractions():
     assert F5.of(-1) == 4
     assert F5.mul(F5.of(3), F5.of(4)) == 2
     assert F5.inverse(F5.of(2)) == 3
+
+
+@pytest.mark.parametrize("ring,value", [
+    (Ring.prime_field(3), 0), (Ring.prime_field(5), 10),
+    (Ring.truncated_padic(3, 2), 3), (Ring.truncated_padic(2, 4), 6)])
+def test_inverse_of_a_non_unit_is_a_zero_division(ring, value):
+    with pytest.raises(ZeroDivisionError, match=re.escape(
+            "%d is not a unit in %r" % (value, ring))):
+        ring.inverse(value)
+
+
+@pytest.mark.parametrize("ring,value", [
+    (Ring.prime_field(3), Fraction(1, 3)),
+    (Ring.truncated_padic(3, 2), Fraction(2, 9)),
+    (Ring.truncated_padic(2, 4), Fraction(5, 6))])
+def test_fraction_with_a_non_unit_denominator_is_refused(ring, value):
+    with pytest.raises(ValueError, match=re.escape(
+            "%s is not in ring %r" % (value, ring))):
+        ring.of(value)
+    with pytest.raises(ValueError):
+        ring.parse(str(value))
 
 
 def test_truncated_padic_ring():

@@ -144,6 +144,12 @@ def test_power_matches_repeated_multiplication():
     assert a.power(3) == a * a * a
 
 
+def test_negative_power_is_refused():
+    a = elem(Ring.rationals(), 1, monoid("x"), "x", ["x"])
+    with pytest.raises(ValueError, match="negative"):
+        a.power(-2)
+
+
 def test_scale_and_rmul():
     Q = Ring.rationals()
     m = monoid("x")

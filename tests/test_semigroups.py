@@ -65,6 +65,12 @@ def test_elementary_p_group():
         assert (e ** 3) == m32.identity
 
 
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 6, 9])
+def test_elementary_p_group_needs_a_prime(p):
+    with pytest.raises(ValueError, match="p must be a prime"):
+        ElementaryPGroup(p)
+
+
 def test_unitarized_adjoins_identity():
     u = Unitarized(FreeAbelian(["x"]))
     assert u.identity.name == "1"
@@ -258,6 +264,10 @@ def test_preset_table_file(tmp_path):
 def test_bad_preset_rejected():
     with pytest.raises(Exception):
         semigroup_from_preset("nosuch:x")
+    # Z/4 is not an elementary p-group
+    for text in ("mu:4", "mu:4,1"):
+        with pytest.raises(ValueError, match="p must be a prime"):
+            semigroup_from_preset(text)
 
 
 def test_json_round_trips():

@@ -9,6 +9,7 @@ on top of the cross-checks.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from mixshuffle import (
     FreeAbelian,
     OrderedSet,
     ProductSemigroup,
+    RBElement,
     Ring,
     TensorPoly,
     Unitarized,
@@ -315,6 +317,66 @@ def test_shuffle_power_weight_zero_single_letter():
     x = poly_of(Z, 0, f, ["x"])
     cube = x.shuffle_power(3)
     assert cube.terms == {Word((f.parse("x"),) * 3): 6}
+
+
+def test_negative_shuffle_power_is_refused():
+    Q = Ring.rationals()
+    f = FreeAbelian(["x"])
+    x = poly_of(Q, 1, f, ["x"]) + poly_of(Q, 1, f, ["x^2"])
+    with pytest.raises(ValueError, match="negative"):
+        x.shuffle_power(-1)
+
+
+def assert_canonical(x):
+    """x equals, by ==, terms and JSON, the element built afresh from its
+    Fraction terms, and keeps no factor common to den and every
+    numerator."""
+    direct = type(x)(x.ring, x.lam, x.semigroup, dict(x.terms))
+    assert x == direct, x
+    assert x.terms == direct.terms
+    assert x.to_json() == direct.to_json()
+    assert x.den >= 1
+    assert math.gcd(x.den, *x.code_terms.values()) == 1, (x.den, x)
+
+
+def test_q_elements_stay_canonical():
+    rng = random.Random(20)
+    Q = Ring.rationals()
+    lam = Fraction(5, 3)
+    f = FreeAbelian(["x", "y"])
+    words = enumerate_words(f, 3, 3)
+    m = Unitarized(FreeAbelian(["x"]))
+    rb_keys = [(h, t) for h in m.elements_up_to(1)
+               for t in enumerate_words(m, 2, 2)]
+
+    def coefficient():
+        return Fraction(rng.choice((-4, -1, 1, 2, 3, 5)),
+                        rng.choice((1, 2, 3, 6, 9)))
+
+    def draw(kind, semigroup, keys):
+        return kind(Q, lam, semigroup,
+                    {k: coefficient() for k in rng.sample(keys, 3)})
+
+    reached = []
+    for _ in range(12):
+        a, b = draw(TensorPoly, f, words), draw(TensorPoly, f, words)
+        c = coefficient()
+        sixth = a.scale(Fraction(1, 6))
+        for x, want in (
+                (sixth + sixth.scale(5), a),
+                ((a + b) - b, a),
+                (a.scale(c).scale(1 / c), a),
+                (length_rescale(length_rescale(a, c), 1 / c), a),
+                (a * b, shuffle_oracle(a, b)),
+                (a.shuffle_power(2), a * a),
+                (with_weight(with_weight(a, 2), lam), a)):
+            assert x == want
+            reached.append(x)
+        r, s = draw(RBElement, m, rb_keys), draw(RBElement, m, rb_keys)
+        reached += [r.operator_p(), r * s, r.operator_p() * s.scale(c)]
+    for x in reached:
+        assert_canonical(x)
+    assert any(x.den > 1 for x in reached)
 
 
 def test_length_rescale_and_weight_transport():

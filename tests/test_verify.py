@@ -381,9 +381,20 @@ def test_monomials_do_not_recurse_per_generator():
     count = sys.getrecursionlimit() + 50
     alg = PresentedAlgebra(Q, 0, f, [sym] * count, TensorPoly.unit(Q, 0, f))
     buckets = alg.monomials_by_degree(2)
-    # images come in code form: ({code tuple: integer}, den)
-    assert buckets == {0: [("1", ({(): 1}, 1))], 1: [], 2: []}
+    assert buckets == {0: [("1", alg.unit)], 1: [], 2: []}
     assert alg.monomials(0) == [("1", alg.unit)]
+
+
+def test_unit_over_another_ring_or_alphabet_is_refused():
+    # products run in the unit's ring and alphabet, the cells in the
+    # algebra's: the two must agree
+    f = FreeAbelian(["x"])
+    F2, Q = Ring.prime_field(2), Ring.rationals()
+    gens = [word_symbol(Q, 0, f, w) for w in enumerate_lyndon(f, 3)]
+    for ring, unit in ((F2, TensorPoly.unit(Q, 0, f)),
+                       (Q, TensorPoly.unit(Q, 0, FreeAbelian(["y"])))):
+        with pytest.raises(ValueError, match="unit is not over"):
+            PresentedAlgebra(ring, 0, f, gens, unit)
 
 
 def test_generator_powers_do_not_recurse_per_exponent():
@@ -772,8 +783,8 @@ def test_rbazp_refuses_an_explicit_precision_zero():
         "precision"] == 4
 
 
-# code-form monomials against plain products, fast cells against the
-# exact tracked elimination over the rows' own keys
+# monomials on the algebra's memo against plain products, fast cells
+# against the exact tracked elimination over the rows' own keys
 
 
 # each ring with the weights drawn over it
@@ -959,8 +970,8 @@ def reference_square_cells(ring, key_order, rows_by_degree, cols_by_degree):
     return cells
 
 
-def decoded_columns(alg, buckets):
-    return {n: [(name, alg.decode(form).terms) for name, form in bucket]
+def word_columns(buckets):
+    return {n: [(name, image.terms) for name, image in bucket]
             for n, bucket in buckets.items()}
 
 
@@ -976,9 +987,8 @@ def test_code_form_cells_match_the_word_key_oracle(ring, weights, seed):
         bound = max(rows)
         buckets = alg.monomials_by_degree(bound)
         expected = reference_monomials(alg, bound)
-        assert {n: {name: alg.decode(form) for name, form in bucket}
-                for n, bucket in buckets.items()} == expected
-        columns = decoded_columns(alg, buckets)
+        assert {n: dict(bucket) for n, bucket in buckets.items()} == expected
+        columns = word_columns(buckets)
         if ring.is_field:
             report = mx.VerificationReport("draw", ring, lam,
                                            alg.semigroup, {})
@@ -1033,9 +1043,12 @@ def test_q_filtered_cells_with_p_in_an_entry_or_a_denominator(monkeypatch):
     Q = Ring.rationals()
     f = FreeAbelian(["x"])
     x = f.parse("x")
-    xx, x2 = TensorPoly.code_key(Word((x, x))), \
-        TensorPoly.code_key(Word((x ** 2,)))
-    rows = {2: [Word((x, x)), Word((x ** 2,))]}
+    xx, x2 = Word((x, x)), Word((x ** 2,))
+    rows = {2: [xx, x2]}
+
+    def column(name, terms, den):
+        return name, TensorPoly(Q, 1, f, {w: Fraction(c, den)
+                                          for w, c in terms.items()})
 
     def cells(*cols):
         del made[:]
@@ -1045,20 +1058,22 @@ def test_q_filtered_cells_with_p_in_an_entry_or_a_denominator(monkeypatch):
         return [cell_of(c) for c in report.cells], report.counterexample
 
     # independent over Q, dependent mod P: the exact pass certifies it
-    assert cells(("a", ({xx: 1, x2: 1}, 1)),
-                 ("b", ({xx: 1, x2: 1 + P61}, 1))) == (
+    assert cells(column("a", {xx: 1, x2: 1}, 1),
+                 column("b", {xx: 1, x2: 1 + P61}, 1)) == (
         [(2, 2, 2, 2, True, None)], None)
     assert (Q, True) in made
     # a denominator P scales its column by a unit over Q: certified mod P
     # on the numerators alone
-    assert cells(("a", ({xx: 1}, P61)), ("b", ({x2: P61 + 1}, P61))) == (
+    assert cells(column("a", {xx: 1}, P61),
+                 column("b", {x2: P61 + 1}, P61)) == (
         [(2, 2, 2, 2, True, None)], None)
     assert (Q, True) not in made
     # a dependent column over the denominator P is named with its true
     # coefficient
-    assert cells(("a", ({xx: 1, x2: 2}, 1)), ("b", ({xx: 1, x2: 2}, P61))) \
-        == ([(2, 2, 2, 1, False, "dimension 2, monomials 2, new rank 1")],
-            "b = 1/%d*a" % P61)
+    assert cells(column("a", {xx: 1, x2: 2}, 1),
+                 column("b", {xx: 1, x2: 2}, P61)) == (
+        [(2, 2, 2, 1, False, "dimension 2, monomials 2, new rank 1")],
+        "b = 1/%d*a" % P61)
     assert (Q, True) in made
 
 
