@@ -11,9 +11,9 @@ Elements are lightweight keys interpreted by their semigroup.  Orders are
 total, and each alphabet defines its order once, as a tuple of ints per
 letter (sort_key_of); comparisons across different semigroups raise.
 Each alphabet, up to equality, has one LetterCodec that numbers its
-letters with small ints and tables their products and p-th powers; words
-and the product kernels work on those codes, and p_power_preimages and
-split_p_fixed read the power table.
+letters with small ints and tables their products, p-th powers, sorted
+letter windows and word pools; words, the product kernels,
+elements_up_to and p_power_preimages all read those tables.
 
 classify() tests, inside a degree window, the order/power compatibility
 conditions that the structure theorems key on:
@@ -123,11 +123,15 @@ class LetterCodec:
     each code are kept, and products and p-th powers of codes are cached
     in tables, so the product kernels never build, hash or multiply an
     Element: they work on tuples of ints, which is also what a Word
-    holds.
+    holds.  The word layer's data is kept too, as tuples filled on first
+    use: the letter codes of each degree bound, ascending; the p-th power
+    preimages of each (code, p); the word pieces of each exact (length,
+    degree), which words.py builds.
     """
 
     __slots__ = ("semigroup", "codes", "keys", "elements", "sort_keys",
-                 "degrees", "products", "powers")
+                 "degrees", "products", "powers", "windows", "preimages",
+                 "pieces")
 
     def __init__(self, semigroup):
         self.semigroup = semigroup
@@ -138,6 +142,9 @@ class LetterCodec:
         self.degrees = []
         self.products = {}
         self.powers = {}
+        self.windows = {}
+        self.preimages = {}
+        self.pieces = {}
 
     def code(self, key):
         """The code of the letter with this Element.key."""
@@ -185,6 +192,26 @@ class LetterCodec:
             c = self.powers[a, p] = None if lp is None else self.code(lp.key)
             return c
 
+    def window(self, max_degree):
+        """The codes of the letters of degree <= max_degree, ascending."""
+        window = self.windows.get(max_degree)
+        if window is None:
+            sg = self.semigroup
+            keys = sorted(sg.iter_keys(max_degree), key=sg.sort_key_of)
+            window = self.windows[max_degree] = tuple(map(self.code, keys))
+        return window
+
+    def roots(self, a, p):
+        """The codes u with u^p == a, all of them: graded roots have
+        degree deg(a)/p, finite slots add a bounded slack."""
+        roots = self.preimages.get((a, p))
+        if roots is None:
+            bound = max(self.degrees[a] + self.semigroup.root_degree_slack(),
+                        1)
+            roots = self.preimages[a, p] = tuple(
+                [u for u in self.window(bound) if self.power(u, p) == a])
+        return roots
+
 
 # one codec per alphabet up to equality (semigroups hash by descriptor):
 # words compare on their codes, so equal alphabets must share them.  A
@@ -219,8 +246,8 @@ class OrderedSemigroup:
         return Element(self, self.identity_key) if self.has_identity else None
 
     def elements_up_to(self, max_degree):
-        keys = sorted(self.iter_keys(max_degree), key=self.sort_key_of)
-        return [Element(self, k) for k in keys]
+        codec = letter_codec(self)
+        return list(map(codec.elements.__getitem__, codec.window(max_degree)))
 
     def parse(self, text):
         return Element(self, self.parse_letter(text))
@@ -241,15 +268,11 @@ class OrderedSemigroup:
         raise NotImplementedError
 
     def p_power_preimages(self, g, p):
-        """All u with u^p == g.  Exhaustive: graded roots have degree
-        deg(g)/p and finite slots contribute a bounded slack."""
+        """All u with u^p == g, ascending."""
         if g.semigroup != self:
             return []
         codec = letter_codec(self)
-        target = g.code
-        bound = max(g.degree + self.root_degree_slack(), 1)
-        return [u for u in self.elements_up_to(bound)
-                if codec.power(u.code, p) == target]
+        return list(map(codec.elements.__getitem__, codec.roots(g.code, p)))
 
     def classify(self, p, degree_bound=4):
         tags = set()
@@ -260,14 +283,10 @@ class OrderedSemigroup:
         powers = {g.key: g ** p for g in elems}
         if any(v is None for v in powers.values()):
             return tags
-        power_order = all(not (powers[g.key] < g) for g in elems)
-        if power_order:
-            for a, b in itertools.combinations(elems, 2):
-                lo, hi = (a, b) if a < b else (b, a)
-                if not (powers[lo.key] < powers[hi.key]):
-                    power_order = False
-                    break
-        if power_order:
+        # elems ascend, so each pair below is already (smaller, larger)
+        if all(not (powers[g.key] < g) for g in elems) and all(
+                powers[a.key] < powers[b.key]
+                for a, b in itertools.combinations(elems, 2)):
             tags.add("power-order")
         split_ok = all((powers[g.key] ** p) == powers[g.key] for g in elems)
         if split_ok:

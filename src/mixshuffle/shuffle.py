@@ -46,8 +46,8 @@ from types import MappingProxyType
 
 from .rings import Q, Ring
 from .semigroups import OrderedSemigroup, _compositions, letter_codec
-from .words import Word, _from_codes, cfl_factorize, \
-    componentwise_p_power, empty_word, enumerate_words
+from .words import Word, _from_codes, _word_pieces, cfl_factorize, \
+    componentwise_p_power, empty_word
 
 
 def _accumulate(acc, ring, letters, coeff):
@@ -714,12 +714,9 @@ def graded_basis(semigroup, degree, max_length=None):
     Alphabets with an identity letter have infinitely many words per
     degree and need the length bound.
     """
-    words = [w for w in enumerate_words(semigroup, degree, max_length)
-             if w.degree == degree]
-    if degree == 0:
-        # enumerate_words lists nonempty words only
-        words = [empty_word()] + words
-    return GradedComponent(degree, max_length, words)
+    layers = _word_pieces(letter_codec(semigroup), degree, max_length)
+    return GradedComponent(degree, max_length, [
+        w for layer in layers for w in layer.get(degree, ())])
 
 
 def eettl_representative(ring, lam, semigroup, word, p):

@@ -9,9 +9,12 @@ lexicographic order (a proper prefix is smaller), which defines Lyndon
 words, and pro-length order (shorter first, then letterwise), which is
 the order leading terms are read in.
 
-Every word factors uniquely as a non-increasing concatenation of Lyndon
-words; cfl_factorize computes it by Duval's algorithm, which only ever
-compares letters and so works over any ordered alphabet.
+Word listings read pools on the codec: the words of each exact length
+and degree, built once each from those one letter shorter.  Lyndon words
+are generated directly, by the FKM prenecklace walk.  Every word factors
+uniquely as a non-increasing concatenation of Lyndon words;
+cfl_factorize computes it by Duval's algorithm, which only ever compares
+letters and so works over any ordered alphabet.
 
 The letterwise p-th power w -> w^(p) (each letter raised to the p-th
 power inside the semigroup) drives three constructions used by the
@@ -19,6 +22,8 @@ classification of shuffle powers: T spans a set by tensor-repetition
 p^k times, E keeps the words that are fixed by or outside the image of
 the letterwise power, and subscript_split separates fixed from moved.
 """
+
+import itertools
 
 from .semigroups import LetterCodec, letter_codec
 
@@ -167,6 +172,42 @@ def is_lyndon(w):
     return all(keys < keys[i:] for i in range(1, len(keys)))
 
 
+def _length_bound(codec, max_degree, max_length):
+    if max_length is None:
+        if any(codec.degrees[c] == 0 for c in codec.window(max_degree)):
+            raise ValueError("identity letters present: a length bound is required")
+        return max_degree
+    return max_length
+
+
+def _word_pieces(codec, max_degree, max_length):
+    """For each length 0..max_length, a dict from degree <= max_degree
+    to the nonempty piece of words of exactly that length and degree, in
+    lex order.  Pieces are tuples on the codec, shared by every caller; a
+    missing one is built from those one letter shorter, once per word.
+    """
+    max_length = _length_bound(codec, max_degree, max_length)
+    pieces = codec.pieces
+    window = codec.window(max_degree)
+    degrees = [codec.degrees[c] for c in window]
+    lo, hi = min(degrees, default=0), max(degrees, default=0)
+    layers = [{0: (empty_word(),)}]
+    for n in range(1, max_length + 1):
+        shorter, layer = layers[-1], {}
+        # each letter weighs lo to hi, so no other degree has words
+        for e in range(n * lo, min(max_degree, n * hi) + 1):
+            piece = pieces.get((n, e))
+            if piece is None:
+                piece = pieces[n, e] = tuple([
+                    _from_codes(codec, (c,) + w.codes)
+                    for c, d in zip(window, degrees) if d <= e
+                    for w in shorter.get(e - d, ())])
+            if piece:
+                layer[e] = piece
+        layers.append(layer)
+    return layers
+
+
 def enumerate_words(semigroup, max_degree, max_length=None):
     """All words with degree <= max_degree (and length <= max_length),
     sorted ascending in pro-length order.
@@ -175,34 +216,52 @@ def enumerate_words(semigroup, max_degree, max_length=None):
     many words per degree, so a length bound is required there.
     """
     codec = letter_codec(semigroup)
-    # ascending letters, so the depth-first walk lists words in lex order
-    # and a stable sort by length then gives pro-length order
-    letters = [(l.code, codec.degrees[l.code])
-               for l in semigroup.elements_up_to(max_degree)]
-    if max_length is None:
-        if any(d == 0 for _, d in letters):
-            raise ValueError("identity letters present: a length bound is required")
-        max_length = max_degree
+    sort_keys = codec.sort_keys
     out = []
-
-    def extend(prefix, deg_left, len_left):
-        for c, d in letters:
-            if d > deg_left:
-                continue
-            cur = prefix + (c,)
-            out.append(cur)
-            if len_left > 1:
-                extend(cur, deg_left - d, len_left - 1)
-
-    if max_length >= 1:
-        extend((), max_degree, max_length)
-    out.sort(key=len)
-    return [_from_codes(codec, codes) for codes in out]
+    for layer in _word_pieces(codec, max_degree, max_length)[1:]:
+        run = [w for piece in layer.values() for w in piece]
+        if len(layer) > 1:
+            # a stable sort of lex-ordered runs merges them
+            run.sort(key=lambda w: [sort_keys[c] for c in w.codes])
+        out += run
+    return out
 
 
 def enumerate_lyndon(semigroup, max_degree, max_length=None):
-    return [w for w in enumerate_words(semigroup, max_degree, max_length)
-            if is_lyndon(w)]
+    """The Lyndon words inside the bounds, in pro-length order.
+
+    The FKM walk over prenecklaces (Cattell et al., J. Algorithms 37,
+    2000), depth first in lex order: a prenecklace of period p grows by
+    letters no smaller than the one p back, and is Lyndon exactly when
+    the new letter is larger.  Letters past the degree budget are
+    skipped, since degrees need not grow with the order.
+    """
+    codec = letter_codec(semigroup)
+    window = codec.window(max_degree)
+    max_length = _length_bound(codec, max_degree, max_length)
+    degrees = [codec.degrees[c] for c in window]
+    k = len(window)
+    # frames[i] is (letter rank, period, degree left) of the walk's prefix
+    # of length i; r is the next rank to try after the last frame
+    frames, r, out = [(-1, 0, max_degree)], 0, []
+    while frames:
+        _, period, left = frames[-1]
+        t = len(frames) - 1
+        if t >= max_length:
+            r = k
+        while r < k and degrees[r] > left:
+            r += 1
+        if r == k:
+            r = frames.pop()[0] + 1
+            continue
+        if not t or r > frames[t + 1 - period][0]:
+            period = t + 1
+        frames.append((r, period, left - degrees[r]))
+        if period == t + 1:
+            out.append(tuple([window[f[0]] for f in frames[1:]]))
+        r = frames[t + 2 - period][0]
+    out.sort(key=len)
+    return [_from_codes(codec, codes) for codes in out]
 
 
 def cfl_factorize(w):
@@ -228,13 +287,7 @@ def cfl_factorize(w):
         while i <= k:
             factors.append(_from_codes(w.codec, w.codes[i:i + flen]))
             i += flen
-    grouped = []
-    for f in factors:
-        if grouped and grouped[-1][0] == f:
-            grouped[-1][1] += 1
-        else:
-            grouped.append([f, 1])
-    return [(f, m) for f, m in grouped]
+    return [(f, len(list(run))) for f, run in itertools.groupby(factors)]
 
 
 def componentwise_p_power(w, p):
@@ -248,30 +301,20 @@ def componentwise_p_power(w, p):
 
 def is_p_power_image(w, p):
     """Is w == u^(p) letterwise for some word u over the same alphabet?"""
-    if len(w) == 0:
-        return True
-    sg = w.letters[0].semigroup
-    return all(sg.p_power_preimages(l, p) for l in w.letters)
+    roots = w.codec.roots
+    return all(roots(c, p) for c in w.codes)
 
 
 def operator_T(words, p, max_degree, max_length=None):
     """Close under tensor repetition: all w repeated p^k times in bounds."""
-    out = []
-    seen = set()
+    out = set()
     for w in words:
-        k = 0
-        while True:
-            t = p ** k
-            rep = w.tensor_power(t)
-            if rep.degree > max_degree or (max_length is not None
-                                           and rep.length > max_length):
-                break
-            if rep not in seen:
-                seen.add(rep)
-                out.append(rep)
-            k += 1
-    out.sort(key=lambda w: w.pro_length_key)
-    return out
+        t = 1
+        while w.degree * t <= max_degree and (max_length is None
+                                              or len(w) * t <= max_length):
+            out.add(w.tensor_power(t))
+            t *= p
+    return sorted(out, key=lambda w: w.pro_length_key)
 
 
 def operator_E(words, p):

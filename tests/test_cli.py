@@ -80,6 +80,12 @@ def test_lyndon_listing():
                    "total 7\n")
 
 
+def test_lyndon_listing_past_the_recursion_limit():
+    rc, out, _ = run("lyndon", "--sg", "set:a", "--deg", "1500")
+    assert rc == 0
+    assert out == "degree 1 (1): a\ntotal 1\n"
+
+
 def test_gens_family_listing():
     rc, out, _ = run("gens", "tel", "--deg", "4")
     assert rc == 0

@@ -9,11 +9,13 @@ compares raw sort-key tuples and never calls the functions under test.
 
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
 
 from mixshuffle import (
+    Element,
     ElementaryPGroup,
     FreeAbelian,
     OrderedSet,
@@ -37,6 +39,8 @@ from mixshuffle import (
     tel2_orbit_check,
     word_compare,
 )
+from mixshuffle.shuffle import graded_basis
+from mixshuffle.words import is_p_power_image
 
 
 # oracle: rotation definition of Lyndon plus greedy longest-prefix CFL
@@ -333,3 +337,155 @@ def test_letters_from_unequal_alphabets_do_not_make_a_word():
     with pytest.raises(ValueError):
         Word((x,)).concat(Word((y,)))
     assert Word((x,)).concat(empty_word()) == Word((x,))
+
+
+# No walk nests one call per letter, so bounds past the interpreter's
+# recursion limit work
+
+
+def test_enumerate_words_past_the_recursion_limit():
+    a = semigroup_from_preset("set:a")
+    words = enumerate_words(a, 1500)
+    assert [w.length for w in words] == list(range(1, 1501))
+    assert words[-1] == Word(a.elements_up_to(1) * 1500)
+
+
+def test_enumerate_lyndon_past_the_recursion_limit():
+    a = semigroup_from_preset("set:a")
+    assert enumerate_lyndon(a, 1500) == [Word(a.elements_up_to(1))]
+
+
+# Seeded differential tests of the word pools, the Lyndon walk and the
+# root table against oracles built here: itertools.product over letters
+# sorted from iter_keys, the is_lyndon filter, and repeated products
+
+
+ORACLE_ALPHABETS = {
+    "free1": lambda: FreeAbelian(["x"]),
+    "free2": lambda: FreeAbelian(["x", "y"]),
+    "free3": lambda: FreeAbelian(["x", "y", "z"]),
+    "mu2": lambda: semigroup_from_preset("mu:2,1"),
+    "mu3": lambda: semigroup_from_preset("mu:3,1"),
+    "set": lambda: semigroup_from_preset("set:a,b"),
+    "unitarized": lambda: Unitarized(FreeAbelian(["x"])),
+    # letter degrees that do not grow with the order
+    "product": lambda: ProductSemigroup(Unitarized(FreeAbelian(["x"])),
+                                        FreeAbelian(["y"])),
+    # roots of a higher degree than their power
+    "product_finite": lambda: ProductSemigroup(ElementaryPGroup(2, 1),
+                                               ElementaryPGroup(3, 1)),
+    "table": lambda: min_semilattice(["a", "b", "c"]),
+}
+
+
+def oracle_letters(sg, max_degree):
+    keys = sorted(sg.iter_keys(max_degree), key=sg.sort_key_of)
+    return [Element(sg, k) for k in keys]
+
+
+def oracle_words(sg, max_degree, max_length):
+    letters = oracle_letters(sg, max_degree)
+    low = min((l.degree for l in letters), default=0)
+    out = []
+    for n in range(1, (max_degree if max_length is None else max_length) + 1):
+        # the other n - 1 letters weigh at least low each
+        usable = [l for l in letters
+                  if l.degree <= max_degree - (n - 1) * low]
+        out += [Word(combo) for combo in itertools.product(usable, repeat=n)
+                if sum(l.degree for l in combo) <= max_degree]
+    return sorted(out, key=lambda w: w.pro_length_key)
+
+
+def oracle_bounds(name, sg):
+    """Five seeded (degree, length) draws, plus the largest bounds and
+    the empty corners."""
+    lengths = [1, 2, 3, 4, 5]
+    if not any(True for _ in sg.iter_keys(0)):
+        lengths.append(None)
+    rng = random.Random("word pools " + name)
+    draws = {(rng.randint(1, 5), rng.choice(lengths)) for _ in range(5)}
+    fixed = {(5, lengths[-1]), (5, 5), (0, 2), (3, 0)}
+    return sorted(draws | fixed, key=repr)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALPHABETS))
+def test_word_layer_matches_oracles(name):
+    sg = ORACLE_ALPHABETS[name]()
+    for deg, length in oracle_bounds(name, sg):
+        brute = oracle_words(sg, deg, length)
+        assert enumerate_words(sg, deg, length) == brute, (deg, length)
+        lyndon = [w for w in brute if is_lyndon(w)]
+        assert enumerate_lyndon(sg, deg, length) == lyndon, (deg, length)
+        for d in range(deg + 1):
+            exact = [w for w in brute if w.degree == d]
+            assert list(graded_basis(sg, d, length)) == \
+                [empty_word()] * (d == 0) + exact, (d, length)
+        letters = oracle_letters(sg, deg)
+        assert sg.elements_up_to(deg) == letters
+        # a root of a letter of degree <= deg has degree <= deg + 2 here
+        candidates = oracle_letters(sg, deg + 2)
+        for p in (2, 3):
+            roots = {g: [u for u in candidates if u ** p == g]
+                     for g in letters}
+            for g in letters:
+                assert sg.p_power_preimages(g, p) == roots[g], (g, p)
+            for w in brute:
+                assert is_p_power_image(w, p) == \
+                    all(roots[l] for l in w.letters), (w, p)
+            if name == "set" and lyndon:
+                # the letters of a bare set have no powers
+                with pytest.raises(ValueError):
+                    standard_generating_sets(sg, p, deg, length)
+                continue
+            # the families composed from the oracle's Lyndon words
+            l1, l2 = subscript_split(lyndon, p)
+            el = operator_E(lyndon, p)
+            tl = operator_T(lyndon, p, deg, length)
+            tel = operator_T(el, p, deg, length)
+            tl1, tl2 = subscript_split(tl, p)
+            tel1, tel2 = subscript_split(tel, p)
+            assert standard_generating_sets(sg, p, deg, length) == {
+                "lyn": lyndon, "l1": l1, "l2": l2, "el": el, "tl": tl,
+                "tel": tel, "tl1": tl1, "tl2": tl2, "tel1": tel1,
+                "tel2": tel2}, (deg, length, p)
+    if any(True for _ in sg.iter_keys(0)):
+        for listing in (enumerate_words, enumerate_lyndon, graded_basis):
+            with pytest.raises(ValueError):
+                listing(sg, 3)
+
+
+# The pools are shared, the listings handed out are not
+
+
+def test_listings_are_fresh_and_pools_are_shared():
+    sg = FreeAbelian(["x", "y"])
+    x = sg.parse("x")
+    calls = {
+        "words": lambda: enumerate_words(sg, 4, 3),
+        "lyndon": lambda: enumerate_lyndon(sg, 4),
+        "graded": lambda: list(graded_basis(sg, 3)),
+        "letters": lambda: sg.elements_up_to(3),
+        "roots": lambda: sg.p_power_preimages(x ** 2, 2),
+        "sets": lambda: standard_generating_sets(sg, 2, 4)["tl"],
+    }
+    for name, call in calls.items():
+        expected = list(call())
+        for mutate in (lambda out: out.append(out[0]),
+                       lambda out: out.__setitem__(0, out[-1]),
+                       lambda out: out.__setitem__(slice(1, None), [])):
+            out = call()
+            mutate(out)
+            assert call() == expected, name
+    assert isinstance(graded_basis(sg, 3).basis, tuple)
+    # an equal alphabet built afresh reads the same Word objects
+    words = enumerate_words(sg, 4, 3)
+    twin = FreeAbelian(["x", "y"])
+    assert twin is not sg
+    assert all(a is b for a, b in zip(enumerate_words(twin, 4, 3), words))
+    cubic = [w for w in words if w.degree == 3]
+    assert all(a is b for a, b in zip(graded_basis(twin, 3), cubic))
+    # an unequal alphabet with the same shape has pools of its own
+    other = enumerate_words(FreeAbelian(["a", "b"]), 4, 3)
+    assert len(other) == len(words)
+    assert not {id(w) for w in other} & {id(w) for w in words}
+    assert all(a != b for a, b in zip(other, words))
