@@ -323,6 +323,8 @@ class OrderedSemigroup:
         Enough rounds are taken for p^rounds to clear the degree window,
         after which the intersection is stable for graded alphabets.
         """
+        if p < 2:
+            raise ValueError("p-divisibility needs p >= 2, not %s" % p)
         if rounds is None:
             rounds = 1
             while p ** rounds <= degree_bound:

@@ -11,7 +11,10 @@ algebra.  What "comparison" means depends on the coefficient ring:
   degree (non-graded letter semigroups) are still certified;
 * over Z a degree slice must give a square image matrix whose elementary
   divisors are all 1, which pins a Z-module basis: every word is then an
-  integral combination of the monomials;
+  integral combination of the monomials.  The decomposables map of a
+  degree is built sparse; its elementary divisors decide the Z/p^N
+  indecomposables and the nested summand cells, and only the lifted
+  complement walk takes its dense Smith form with transform;
 * over Z/p^N ranks are taken after reduction mod p.  By Nakayama's lemma
   the images span exactly when their reductions do, and they are a basis
   of a direct summand exactly when their reductions are independent, so a
@@ -48,11 +51,11 @@ from fractions import Fraction
 from .rings import Ring, Matrix, SparseEliminator, _TruncatedSolver, \
     _ZSolver, _is_prime, elementary_divisors
 from .semigroups import Element, Unitarized, FreeAbelian, ProductSemigroup, \
-    ElementaryPGroup, FiniteTableSemigroup, cyclic_group_table
+    ElementaryPGroup, FiniteTableSemigroup, cyclic_group_table, letter_codec
 from .words import Word, empty_word, enumerate_words, enumerate_lyndon, \
     operator_T, standard_generating_sets, tel2_orbit_check, \
     componentwise_p_power
-from .shuffle import TensorPoly, word_poly, graded_basis, \
+from .shuffle import TensorPoly, word_poly, graded_basis, shuffle_sum, \
     eettl_representative, length_rescale, with_weight
 from .rota_baxter import RBElement, alphabet_generators
 
@@ -956,14 +959,13 @@ def verify_zp(semigroup, p, precision, weight, degree_bound):
     report.cells.extend(cells)
     for n, count, lyn in _family_counts(sets, degree_bound):
         report.checks.append(_count_check(n, count, lyn))
-        diag, _ = compute_cokernel_basis(semigroup, w, n)
-        unit_ok = all(d % p != 0 for d in diag["divisors"])
-        rank_ok = diag["coker_rank"] == lyn
+        rows, columns = _decomposables(semigroup, w, n)
+        divisors = elementary_divisors(columns)
+        coker_rank = len(rows) - len(divisors)
         report.checks.append(CheckRecord(
             "degree %d indecomposables keep Lyndon rank at p" % n,
-            unit_ok and rank_ok,
-            "rank %d, divisors %s" % (diag["coker_rank"],
-                                      diag["divisors"])))
+            all(d % p != 0 for d in divisors) and coker_rank == lyn,
+            "rank %d, divisors %s" % (coker_rank, divisors)))
     fp = Ring.prime_field(p)
     report.checks.extend(_letterwise_power_checks(
         fp, fp.of(w), semigroup, p,
@@ -981,50 +983,53 @@ def verify_zp(semigroup, p, precision, weight, degree_bound):
 # integral structure
 
 
+def _decomposables(semigroup, lam, degree):
+    """The degree-n words in graded_basis order, and the decomposables map
+    over Z at weight lam: each unordered pair of lower-degree basis words'
+    product, by shuffle_sum on one memo, as a {row index: int} column."""
+    ring = Ring.integers()
+    codec = letter_codec(semigroup)
+    rows = list(graded_basis(semigroup, degree))
+    index = {w.codes: i for i, w in enumerate(rows)}
+    memo = {}
+    columns = []
+    for i in range(1, degree // 2 + 1):
+        low = [w.codes for w in graded_basis(semigroup, i)]
+        high = [w.codes for w in graded_basis(semigroup, degree - i)]
+        for a_pos, a in enumerate(low):
+            for b in high[a_pos if 2 * i == degree else 0:]:
+                prod, _ = shuffle_sum(ring, lam, codec, memo, ((a, 1),),
+                                      ((b, 1),))
+                columns.append({index[t]: c for t, c in prod.items()})
+    return rows, columns
+
+
 def compute_cokernel_basis(semigroup, weight, degree):
     """Smith diagnosis of the decomposables map in one degree, with a
     lifted complement basis.
 
-    Columns of the map are all products of lower-degree basis words; the
-    cokernel must be free, of rank the Lyndon count.  The complement is
-    lifted greedily through plain words, largest in pro-length order
-    first, each acceptance keeping the chosen set a direct summand.  The
-    walk reads each word's cokernel coordinates off the Smith transform U
-    and keeps them reduced by a unimodular T that takes the chosen words
-    to unit upper triangular form: a word is accepted exactly when its
-    reduced coordinates below the chosen rows have gcd 1, and Euclid row
-    operations then extend the triangle by one column.  If the greedy word
-    walk cannot finish, an explicit unimodular complement is taken from
-    the Smith transform instead.
+    The map (_decomposables) is densified for a Smith form with transform
+    U; its cokernel must be free, of rank the Lyndon count.  The
+    complement is lifted greedily through plain words, largest in
+    pro-length order first, each acceptance keeping the chosen set a
+    direct summand.  This walk is U's one reader: it keeps each word's
+    cokernel coordinates reduced by a unimodular T that takes the chosen
+    words to unit upper triangular form; a word is accepted exactly when
+    its reduced coordinates below the chosen rows have gcd 1, and Euclid
+    row operations then extend the triangle by one column.  If the walk
+    cannot finish, the complement is read off U instead.
     """
+    _require(degree >= 1, "the degree must be positive")
     weight = Fraction(weight)
     _require(weight.denominator == 1, "integral checks need integer weight")
     lam = int(weight)
     ring = Ring.integers()
-    rows = list(graded_basis(semigroup, degree))
-    index = {w.codes: i for i, w in enumerate(rows)}
+    rows, columns = _decomposables(semigroup, lam, degree)
     m = len(rows)
-    columns = []
-    for i in range(1, degree // 2 + 1):
-        low = list(graded_basis(semigroup, i))
-        high = list(graded_basis(semigroup, degree - i))
-        for a_pos, a in enumerate(low):
-            for b_pos, b in enumerate(high):
-                if i == degree - i and b_pos < a_pos:
-                    continue
-                prod = TensorPoly.from_word(ring, lam, semigroup, a) * \
-                    TensorPoly.from_word(ring, lam, semigroup, b)
-                column = [0] * m
-                for t, c in prod.code_terms.items():
-                    column[index[t]] = c
-                columns.append(column)
-    if columns:
-        # the entries are canonical ints already: no per-entry coercion
-        mu = Matrix._raw(ring, [list(row) for row in zip(*columns)], m,
-                         len(columns))
-        divisors, U, _ = mu.smith_normal_form()
-    else:
-        divisors, U = [], Matrix.identity(ring, m)
+    # the entries are canonical ints already: no per-entry coercion
+    mu = Matrix._raw(ring, [[col.get(i, 0) for col in columns]
+                            for i in range(m)], m, len(columns))
+    divisors, U, _ = mu.smith_normal_form()
     rank = len(divisors)
     coker_rank = m - rank
     lyndon_count = sum(1 for w in enumerate_lyndon(semigroup, degree)
@@ -1036,14 +1041,13 @@ def compute_cokernel_basis(semigroup, weight, degree):
     reduced = [row[:] for row in U.rows[rank:]]
     chosen_words = []
     det = 1
-    for w in reversed(rows):
+    for j in reversed(range(m)):
         t = len(chosen_words)
         if t == coker_rank:
             break
-        j = index[w.codes]
         if math.gcd(*[row[j] for row in reduced[t:]]) == 1:
             det *= _euclid_pivot(reduced, t, j)
-            chosen_words.append(w)
+            chosen_words.append(rows[j])
     if len(chosen_words) == coker_rank:
         method = "greedy-words"
         lifted = [word_poly(ring, lam, semigroup, w.letters)
@@ -1054,15 +1058,9 @@ def compute_cokernel_basis(semigroup, weight, degree):
         # exact complement read off the unimodular row transform
         method = "transform-complement"
         solver = _ZSolver(U)
-        lifted = []
-        names = []
-        for i in range(rank, m):
-            target = [1 if j == i else 0 for j in range(m)]
-            x = solver.solve(target)
-            poly = TensorPoly(ring, lam, semigroup,
-                              {rows[j]: x[j] for j in range(m) if x[j]})
-            lifted.append(poly)
-            names.append("c%d_%d" % (degree, i - rank))
+        lifted = [TensorPoly(ring, lam, semigroup, dict(zip(rows, solver.solve(
+            [int(j == i) for j in range(m)])))) for i in range(rank, m)]
+        names = ["c%d_%d" % (degree, i) for i in range(coker_rank)]
         det = 1
     diagnosis = {
         "degree": degree,
@@ -1076,9 +1074,6 @@ def compute_cokernel_basis(semigroup, weight, degree):
         "method": method,
         "complement_det": det,
         "y_words": names,
-        "_U": U,
-        "_rank": rank,
-        "_rows": rows,
     }
     return diagnosis, lifted
 
@@ -1167,28 +1162,23 @@ def verify_nested_summand(semigroups, weight, degree_bound):
     report = VerificationReport("intfr-nested", ring, weight, semigroups[-1],
                                 {"degree": degree_bound,
                                  "chain": len(semigroups)})
-    # one basis per alphabet and degree: step k's big alphabet is step
-    # k+1's small one
-    bases = [[compute_cokernel_basis(s, lam, n)
-              for n in range(1, degree_bound + 1)] for s in semigroups]
+    # lifted bases of every alphabet but the last, per degree
+    bases = [[compute_cokernel_basis(s, lam, n)[1]
+              for n in range(1, degree_bound + 1)] for s in semigroups[:-1]]
     for step, big in enumerate(semigroups[1:]):
         for n in range(1, degree_bound + 1):
-            _, lifted = bases[step][n - 1]
-            diag_big, _ = bases[step + 1][n - 1]
-            U, rank = diag_big["_U"], diag_big["_rank"]
-            index = {w: i for i, w in enumerate(diag_big["_rows"])}
-            columns = []
-            for poly in lifted:
-                vec = {index[_pad_word(w, big)]: c
-                       for w, c in poly.terms.items()}
-                columns.append({i: sum(U.rows[i][j] * c
-                                       for j, c in vec.items())
-                                for i in range(rank, len(index))})
-            size = diag_big["coker_rank"]
-            _, d = _cell_rank(ring, columns)
-            ok = len(d) == len(columns) and all(x == 1 for x in d)
+            rows, columns = _decomposables(big, lam, n)
+            index = {w: i for i, w in enumerate(rows)}
+            lifts = [{index[_pad_word(w, big)]: c
+                      for w, c in poly.terms.items()}
+                     for poly in bases[step][n - 1]]
+            # past the map's rank r: the divisors of the lifts' cokernel
+            # coordinates when the map's are all 1; else never all 1
+            r = len(elementary_divisors(columns))
+            d = elementary_divisors(columns + lifts)[r:]
+            ok = len(d) == len(lifts) and all(x == 1 for x in d)
             report.cells.append(CellRecord(
-                n, size, len(columns), len(d), ok,
+                n, len(rows) - r, len(lifts), len(d), ok,
                 "chain step %d" % (step + 1) if ok
                 else "divisors %s" % (d,)))
     return report

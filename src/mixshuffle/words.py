@@ -306,9 +306,15 @@ def is_p_power_image(w, p):
 
 
 def operator_T(words, p, max_degree, max_length=None):
-    """Close under tensor repetition: all w repeated p^k times in bounds."""
+    """Close under tensor repetition: all w repeated p^k times in bounds,
+    for p >= 2 and words that leave the bounds (not the empty word, nor a
+    degree-0 word without a length bound)."""
+    if p < 2:
+        raise ValueError("tensor repetition needs p >= 2, not %s" % p)
     out = set()
     for w in words:
+        if not w.degree and (max_length is None or not len(w)):
+            raise ValueError("repetitions of %r never leave the bounds" % (w,))
         t = 1
         while w.degree * t <= max_degree and (max_length is None
                                               or len(w) * t <= max_length):

@@ -244,6 +244,12 @@ def test_explicit_precision_zero_exits_2():
         assert "precision" in err
 
 
+def test_generator_family_below_p_two_exits_2():
+    rc, out, err = run("gens", "tl", "--p", "1", "--deg", "3")
+    assert (rc, out) == (2, "")
+    assert "p >= 2" in err
+
+
 def test_unset_precision_keeps_its_default():
     rc, out, _ = run("mul", "x", "x", "--lambda", "1", "--ring", "Zp",
                      "--p", "3", "--format", "json")

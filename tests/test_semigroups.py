@@ -158,6 +158,10 @@ def test_p_divisible():
     assert FreeAbelian(["x"]).p_divisible(2) == []
     sl = flat_semilattice(["a", "b"])
     assert [e.name for e in sl.p_divisible(3)] == ["a", "b"]
+    # the round count would grow without end below p = 2
+    for p in (1, 0):
+        with pytest.raises(ValueError, match="p >= 2"):
+            FreeAbelian(["x"]).p_divisible(p, 4)
 
 
 def test_p_power_preimages():

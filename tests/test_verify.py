@@ -7,6 +7,7 @@ regression in any of the three shows up as a diff against this file.
 """
 
 import inspect
+import itertools
 import json
 import random
 import sys
@@ -44,6 +45,7 @@ from mixshuffle import (
     word_symbol,
 )
 from mixshuffle import verify as verify_module
+from mixshuffle.rings import elementary_divisors
 
 
 def cells_of(report):
@@ -172,17 +174,29 @@ def test_cokernel_basis_transform_complement():
     assert info["method"] == "transform-complement"
     assert info["y_words"] == ["c2_0"]
     x = TensorPoly.from_word(Z, 3, f, Word((f.parse("x"),)))
-    columns = [[poly.terms.get(w, 0) for w in info["_rows"]]
+    rows, _, _, _ = decomposables_smith(f, 3, 2)
+    columns = [[poly.terms.get(w, 0) for w in rows]
                for poly in (x * x, basis[0])]
     det = Matrix.from_columns(Z, columns, len(columns)).det_bareiss()
     assert det in (1, -1)
 
 
-def reference_walk(info):
+def decomposables_smith(semigroup, lam, degree):
+    """The degree-n words, the decomposables map on them, and D and U of
+    Matrix.smith_normal_form of the map made dense."""
+    rows, columns = verify_module._decomposables(semigroup, lam, degree)
+    dense = [[c.get(i, 0) for i in range(len(rows))] for c in columns]
+    d, U, _ = Matrix.from_columns(Ring.integers(), dense,
+                                  len(rows)).smith_normal_form()
+    return rows, columns, d, U
+
+
+def reference_walk(semigroup, lam, degree):
     """The greedy complement walk with one trial Smith form per word."""
     Z = Ring.integers()
-    U, rank, rows = info["_U"], info["_rank"], info["_rows"]
-    size = info["coker_rank"]
+    rows, _, d, U = decomposables_smith(semigroup, lam, degree)
+    rank = len(d)
+    size = len(rows) - rank
     words, columns = [], []
     for j in reversed(range(len(rows))):
         if len(words) == size:
@@ -205,7 +219,7 @@ def test_cokernel_walk_matches_trial_smith_walk():
         for lam in (1, -1, 2, 3):
             for degree in range(1, top + 1):
                 info, basis = compute_cokernel_basis(f, lam, degree)
-                method, words, det = reference_walk(info)
+                method, words, det = reference_walk(f, lam, degree)
                 assert info["method"] == method, (names, lam, degree)
                 assert info["complement_det"] == det, (names, lam, degree)
                 if words is not None:
@@ -213,6 +227,40 @@ def test_cokernel_walk_matches_trial_smith_walk():
                 assert len(basis) == info["coker_rank"]
                 methods.add(method)
     assert methods == {"greedy-words", "transform-complement"}
+
+
+def test_decomposables_divisors_match_the_dense_smith_form():
+    # the columns are the products of each unordered pair of lower-degree
+    # words; their sparse divisors are the dense Smith D of the same map,
+    # also on a seeded reordering of the columns
+    rng = random.Random(14)
+    Z = Ring.integers()
+    for names, top in ((["x"], 7), (["x", "y"], 4), (["x", "y", "z"], 3)):
+        f = FreeAbelian(names)
+        for lam in (0, 1, -1, 2, 3):
+            for degree in range(1, top + 1):
+                rows, columns, d, _ = decomposables_smith(f, lam, degree)
+                products = [
+                    TensorPoly.from_word(Z, lam, f, a)
+                    * TensorPoly.from_word(Z, lam, f, b)
+                    for i in range(1, degree // 2 + 1)
+                    for a, b in itertools.product(
+                        mx.graded_basis(f, i), mx.graded_basis(f, degree - i))
+                    if 2 * i < degree or a.pro_length_key <= b.pro_length_key]
+                assert columns == [{rows.index(w): c for w, c
+                                    in prod.terms.items()}
+                                   for prod in products], (names, lam, degree)
+                shuffled = rng.sample(columns, len(columns))
+                assert elementary_divisors(columns) == d, (names, lam,
+                                                           degree)
+                assert elementary_divisors(shuffled) == d, (names, lam,
+                                                            degree)
+
+
+def test_cokernel_basis_refuses_degrees_below_one():
+    for degree in (0, -1):
+        with pytest.raises(ConfigurationError):
+            compute_cokernel_basis(FreeAbelian(["x"]), 1, degree)
 
 
 def test_nested_chain():
@@ -577,7 +625,8 @@ def test_rbazp_cells_fail_on_lyndon_words(monkeypatch):
     assert r.counterexample is None
 
 
-def test_nested_cells_fail_on_a_scaled_complement(monkeypatch):
+def scale_one_letter_lifts(monkeypatch):
+    """Double the lifted complement of the one-letter alphabet in degree 2."""
     real = verify_module.compute_cokernel_basis
 
     def patched(semigroup, weight, n):
@@ -587,9 +636,90 @@ def test_nested_cells_fail_on_a_scaled_complement(monkeypatch):
         return diag, lifted
 
     monkeypatch.setattr(verify_module, "compute_cokernel_basis", patched)
+
+
+def test_nested_cells_fail_on_a_scaled_complement(monkeypatch):
+    scale_one_letter_lifts(monkeypatch)
     r = verify_nested_summand([FreeAbelian(["x"]), FreeAbelian(["x", "y"])],
                               1, 3)
     assert failing_cells(r) == [(2, 4, 1, 1, False, "divisors [2]")]
+    assert r.counterexample is None
+
+
+def reference_nested(semigroups, weight, degree_bound):
+    """Every nested cell as cell_of gives it, from each lift projected
+    onto rows rank.. of the dense Smith transform U of the next
+    alphabet's map, whose divisors must all be 1."""
+    Z = Ring.integers()
+    cells = []
+    for step, (small, big) in enumerate(zip(semigroups, semigroups[1:])):
+        for n in range(1, degree_bound + 1):
+            _, lifted = verify_module.compute_cokernel_basis(small, weight, n)
+            rows, _, d, U = decomposables_smith(big, weight, n)
+            rank = len(d)
+            size = len(rows) - rank
+            columns = []
+            for poly in lifted:
+                vec = {rows.index(verify_module._pad_word(w, big)): c
+                       for w, c in poly.terms.items()}
+                columns.append([sum(U.rows[i][j] * c for j, c in vec.items())
+                                for i in range(rank, len(rows))])
+            d, _, _ = Matrix.from_columns(Z, columns,
+                                          size).smith_normal_form()
+            ok = len(d) == len(columns) and all(x == 1 for x in d)
+            cells.append((n, size, len(columns), len(d), ok,
+                          "chain step %d" % (step + 1) if ok
+                          else "divisors %s" % (d,)))
+    return cells
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_nested_cells_match_the_transform_projection(monkeypatch, scaled):
+    if scaled:
+        scale_one_letter_lifts(monkeypatch)
+    free = [FreeAbelian(["x", "y", "z"][:k]) for k in (1, 2, 3)]
+    for chain, bound in ((free[:2], 4), (free, 3)):
+        for lam in (1, -1):
+            cells = verify_nested_summand(chain, lam, bound).cells
+            assert [cell_of(c) for c in cells] == \
+                reference_nested(chain, lam, bound), (len(chain), lam)
+
+
+def test_only_the_complement_walk_factors_the_dense_transform(monkeypatch):
+    # verify_zp reads divisors only, and the nested check needs lifted
+    # bases for every alphabet but the last
+    real = verify_module.compute_cokernel_basis
+    calls = []
+
+    def recording(semigroup, weight, n):
+        calls.append((len(semigroup.generators), n))
+        return real(semigroup, weight, n)
+
+    monkeypatch.setattr(verify_module, "compute_cokernel_basis", recording)
+    assert verify_zp(FreeAbelian(["x"]), 3, 2, 1, 5).passed
+    assert calls == []
+    chain = [FreeAbelian(["x", "y", "z"][:k]) for k in (1, 2, 3)]
+    assert verify_nested_summand(chain, 1, 3).passed
+    assert calls == [(k, n) for k in (1, 2) for n in (1, 2, 3)]
+
+
+def test_nested_cells_fail_on_an_unsaturated_map(monkeypatch):
+    # a divisor 2 in the big alphabet's map leaves its image unsaturated,
+    # and the image plus the lifts then is not saturated either
+    real = verify_module._decomposables
+
+    def patched(semigroup, lam, degree):
+        rows, columns = real(semigroup, lam, degree)
+        if len(semigroup.generators) == 2 and columns:
+            columns = [{i: 2 * c for i, c in columns[0].items()}] + \
+                columns[1:]
+        return rows, columns
+
+    monkeypatch.setattr(verify_module, "_decomposables", patched)
+    r = verify_nested_summand([FreeAbelian(["x"]), FreeAbelian(["x", "y"])],
+                              1, 3)
+    assert failing_cells(r) == [(2, 4, 1, 1, False, "divisors [2]"),
+                                (3, 12, 2, 2, False, "divisors [1, 2]")]
     assert r.counterexample is None
 
 

@@ -201,6 +201,27 @@ def test_operator_T_repeats_within_bounds():
     assert [w.display(True) for w in out] == ["x", "x(x)x", "x(x)x(x)x(x)x"]
 
 
+def test_operator_T_refuses_repetitions_that_stay_in_bounds():
+    # p < 2 never grows the repeat count, and neither p grows the degree
+    # of the empty word or a degree-0 word
+    f = FreeAbelian(["x"])
+    lyndon = enumerate_lyndon(f, 3)
+    for p in (1, 0):
+        with pytest.raises(ValueError, match="p >= 2"):
+            operator_T(lyndon, p, 3)
+    with pytest.raises(ValueError, match="p >= 2"):
+        standard_generating_sets(f, 1, 3)
+    with pytest.raises(ValueError, match="p >= 2"):
+        tel2_orbit_check(f, 1, 3)
+    for length in (None, 4):
+        with pytest.raises(ValueError, match="never leave the bounds"):
+            operator_T([empty_word()], 2, 3, length)
+    unit = Word((Unitarized(f).identity,))
+    with pytest.raises(ValueError, match="never leave the bounds"):
+        operator_T([unit], 2, 3)
+    assert [len(w) for w in operator_T([unit], 2, 3, 4)] == [1, 2, 4]
+
+
 def test_operator_E_on_group_alphabet():
     # in the two-element group the only square is e, so any word touching g
     # fails to be an image and E keeps everything
