@@ -21,9 +21,10 @@ from .words import Word, empty_word, enumerate_lyndon, cfl_factorize, \
     standard_generating_sets
 from .shuffle import word_poly
 from .rota_baxter import RBElement, check_rb_identity
-from .verify import ConfigurationError, verify_radford_hoffman, \
-    verify_fp_weight0, verify_fp_nonzero, verify_zp, verify_z_polynomial, \
-    verify_rb_structure, verify_semigroup_props
+from .verify import ConfigurationError, _require_prime, \
+    verify_radford_hoffman, verify_fp_weight0, verify_fp_nonzero, \
+    verify_zp, verify_z_polynomial, verify_rb_structure, \
+    verify_semigroup_props
 
 GEN_FAMILIES = ("lyn", "l1", "l2", "el", "tl", "tel",
                 "tl1", "tl2", "tel1", "tel2")
@@ -217,6 +218,7 @@ def _cmd_cfl(args):
 def _cmd_gens(args):
     sg = semigroup_from_preset(args.sg)
     p = args.p if args.p is not None else 2
+    _require_prime(p)
     sets = standard_generating_sets(sg, p, args.deg, args.length)
     _print_words(sets[args.family], args.deg, args.ascii, args.format)
     return 0
@@ -257,8 +259,7 @@ def _run_verification(args):
                                       args.p, deg, length)
     alphabet = _free_alphabet(semigroup_from_preset(args.sg))
     return verify_rb_structure(theorem, alphabet, weight, args.p,
-                               args.precision,
-                               deg if deg is not None else 3,
+                               args.precision, deg,
                                length if length is not None else 3)
 
 
@@ -331,12 +332,11 @@ def _cmd_rb_identity(args):
     ring, lam, monoid = _rb_context(args)
     seed = args.seed if args.seed is not None else 0
     rng = random.Random(seed)
-    deg = args.deg if args.deg is not None else 3
     length = args.length if args.length is not None else 3
     failures = []
     for trial in range(args.trials):
-        x = _random_rb(rng, ring, lam, monoid, deg, length)
-        y = _random_rb(rng, ring, lam, monoid, deg, length)
+        x = _random_rb(rng, ring, lam, monoid, args.deg, length)
+        y = _random_rb(rng, ring, lam, monoid, args.deg, length)
         if not check_rb_identity(x, y)[0]:
             failures.append(trial)
     passed = not failures

@@ -317,7 +317,7 @@ class OrderedSemigroup:
             (fixed if codec.power(c, p) == c else moved).append(g)
         return fixed, moved
 
-    def p_divisible(self, p, degree_bound=4, rounds=None):
+    def p_divisible(self, p, degree_bound=4):
         """Window part of the intersection of the p^r-th power images.
 
         Enough rounds are taken for p^rounds to clear the degree window,
@@ -325,10 +325,9 @@ class OrderedSemigroup:
         """
         if p < 2:
             raise ValueError("p-divisibility needs p >= 2, not %s" % p)
-        if rounds is None:
-            rounds = 1
-            while p ** rounds <= degree_bound:
-                rounds += 1
+        rounds = 1
+        while p ** rounds <= degree_bound:
+            rounds += 1
         window = self.elements_up_to(degree_bound)
         result = set(window)
         for r in range(1, rounds + 1):

@@ -32,6 +32,11 @@ again exactly, with tracking where a counterexample is to be named.
 Over F_p the same untracked pass runs mod p.  No monomial's terms are
 read as Words or Fractions on the way to a cell.
 
+Each generator family has one builder.  The Rota-Baxter verifiers mirror
+Sh(A) = A (x) Sh+(A): each builds only its heads and takes its tails from
+its shuffle twin's family through one map, g -> 1 (x) g, that lifts words
+over the inner free alphabet into the monoid where needed.
+
 One helper computes the rank of a cell for every ring (and over Z its
 elementary divisors); the spanning check reads its verdict off that rank
 and solves for single words only when a cell fails, to name the first
@@ -53,8 +58,7 @@ from .rings import Ring, Matrix, SparseEliminator, _TruncatedSolver, \
 from .semigroups import Element, Unitarized, FreeAbelian, ProductSemigroup, \
     ElementaryPGroup, FiniteTableSemigroup, cyclic_group_table, letter_codec
 from .words import Word, empty_word, enumerate_words, enumerate_lyndon, \
-    operator_T, standard_generating_sets, tel2_orbit_check, \
-    componentwise_p_power
+    operator_T, standard_generating_sets, _tel2_orbit, componentwise_p_power
 from .shuffle import TensorPoly, word_poly, graded_basis, shuffle_sum, \
     eettl_representative, length_rescale, with_weight
 from .rota_baxter import RBElement, alphabet_generators
@@ -70,7 +74,8 @@ def _require(cond, message):
 
 
 def _require_prime(p):
-    _require(isinstance(p, int) and _is_prime(p), "p must be a prime number")
+    _require(isinstance(p, int) and _is_prime(p),
+             "p must be a prime number (p >= 2), not %r" % (p,))
 
 
 def _require_bounds(degree_bound, length_bound=None):
@@ -663,17 +668,58 @@ def _tensor_rows(semigroup, degree_bound, length_bound):
             for n in range(degree_bound + 1)}
 
 
-def _tail_scalar(ring, lam, p, length):
-    # lambda^((p-1)(length-1)): mod p the p-th shuffle power of a fixed
-    # word collapses onto the word itself with p-1 merges at each letter
-    # position past the one that Fermat absorbs into the coefficient
-    return ring.pow_(lam, (p - 1) * (length - 1))
-
-
 def _relation_length_cap(p):
     # p-th powers of a length-l word have up to (pl)!/(l!)^p terms; keep
     # the checked lengths small enough to stay interactive
     return max(1, 6 // p)
+
+
+# One builder per generator family: the shuffle verifiers present their
+# algebras on these, and each Rota-Baxter verifier takes its tails from
+# its twin's family through _tails.
+
+
+def _lyndon_family(ring, lam, semigroup, degree_bound, length_bound):
+    """The Lyndon words, free polynomial generators over Q."""
+    return [word_symbol(ring, lam, semigroup, w)
+            for w in enumerate_lyndon(semigroup, degree_bound, length_bound)]
+
+
+def _tel_family(ring, lam, semigroup, sets):
+    """The tensor Lyndon words of the reduced Lyndon family."""
+    return [word_symbol(ring, lam, semigroup, w) for w in sets["tel"]]
+
+
+def _nilpotent_family(ring, lam, semigroup, p, degree_bound, length_bound):
+    """Weight zero mod p: the tensor Lyndon words, capped at p-1, with
+    vanishing p-th powers."""
+    lyndon = enumerate_lyndon(semigroup, degree_bound, length_bound)
+    return [word_symbol(ring, lam, semigroup, w, cap=p - 1,
+                        relation=("power_zero", p))
+            for w in operator_T(lyndon, p, degree_bound, length_bound)]
+
+
+def _power_order_family(ring, lam, semigroup, p, sets):
+    """The tensor Lyndon words capped at p-1; the fixed ones have w^p = w."""
+    fixed = set(sets["tl1"])
+    return [word_symbol(ring, lam, semigroup, w, cap=p - 1,
+                        relation=("power_scalar", p, ring.one)
+                        if w in fixed else None)
+            for w in sets["tl"]]
+
+
+def _power_split_family(ring, lam, semigroup, p, sets):
+    """The fixed reduced tensor Lyndon words, with w^p = w, then the
+    nilpotent differences w - w^(p) of the moved ones, all capped at p-1."""
+    gens = [word_symbol(ring, lam, semigroup, w, cap=p - 1,
+                        relation=("power_scalar", p, ring.one))
+            for w in sets["tel1"]]
+    for w in sets["tel2"]:
+        image = eettl_representative(ring, lam, semigroup, w, p)
+        gens.append(GeneratorSymbol(
+            _difference_name(w, p), image, image.max_degree(), w.length,
+            cap=p - 1, relation=("power_zero", p)))
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +741,7 @@ def verify_radford_hoffman(semigroup, weight, degree_bound,
     report = VerificationReport(theorem, ring, weight, semigroup,
                                 {"degree": degree_bound,
                                  "length": length_bound})
-    gens = [word_symbol(ring, lam, semigroup, w)
-            for w in enumerate_lyndon(semigroup, degree_bound, length_bound)]
+    gens = _lyndon_family(ring, lam, semigroup, degree_bound, length_bound)
     algebra = PresentedAlgebra(ring, lam, semigroup, gens,
                                TensorPoly.unit(ring, lam, semigroup),
                                length_bound)
@@ -744,10 +789,8 @@ def verify_fp_weight0(semigroup, p, degree_bound, length_bound=None):
     report = VerificationReport("psh", ring, 0, semigroup,
                                 {"degree": degree_bound,
                                  "length": length_bound, "p": p})
-    lyndon = enumerate_lyndon(semigroup, degree_bound, length_bound)
-    tl = operator_T(lyndon, p, degree_bound, length_bound)
-    gens = [word_symbol(ring, lam, semigroup, w, cap=p - 1,
-                        relation=("power_zero", p)) for w in tl]
+    gens = _nilpotent_family(ring, lam, semigroup, p, degree_bound,
+                             length_bound)
     algebra = PresentedAlgebra(ring, lam, semigroup, gens,
                                TensorPoly.unit(ring, lam, semigroup),
                                length_bound)
@@ -771,25 +814,26 @@ def _dispatch_tag(semigroup, p, degree_bound):
         "classification gave %s" % sorted(tags))
 
 
-def _letterwise_power_checks(ring, lam, semigroup, p, candidates, bound=6):
-    """u^(shuffle p) = lambda^((p-1)len) u^(letter p) mod p, spot checked.
+def _letterwise_power_checks(ring, lam, semigroup, p, candidates):
+    """u^(shuffle p) = u^(letter p) over F_p with a unit weight, checked
+    on the first six candidates.
 
-    Every letter position absorbs p-1 merges when only the fully merged
-    interleavings survive mod p, hence the exponent (p-1)*len(u)."""
+    Mod p only the fully merged interleavings survive, so every letter
+    position absorbs p-1 merges, a factor lambda^((p-1)len(u)); that
+    factor is 1 by Fermat, since lambda is a unit of F_p."""
     checks = []
-    for u in candidates[:bound]:
+    for u in candidates[:6]:
         left = TensorPoly.from_word(ring, lam, semigroup, u).shuffle_power(p)
-        moved = componentwise_p_power(u, p)
-        scalar = ring.pow_(lam, (p - 1) * u.length)
-        right = TensorPoly.from_word(ring, lam, semigroup, moved, scalar)
+        right = TensorPoly.from_word(ring, lam, semigroup,
+                                     componentwise_p_power(u, p))
         checks.append(CheckRecord(
             "letterwise power congruence for %s" % u.display(True),
             left == right))
     return checks
 
 
-def _orbit_check(semigroup, p, degree_bound, length_bound):
-    ok, details = tel2_orbit_check(semigroup, p, degree_bound, length_bound)
+def _orbit_check(sets, p, degree_bound, length_bound):
+    ok, details = _tel2_orbit(sets, p, degree_bound, length_bound)
     return CheckRecord(
         "moved family is the power orbit of the reduced family", ok,
         None if ok else str(details))
@@ -818,9 +862,11 @@ def verify_fp_nonzero(semigroup, p, weight, degree_bound, length_bound=None):
 
     free abelian: the tensor Lyndon family generates freely.
     power-ordered: all tensor Lyndon words capped at p-1 carry the degree
-    accounting, and the fixed ones satisfy w^p = lambda^w w.
-    power-split: fixed generators with w^p = lambda^w w tensored with
-    nilpotent differences w - w^(p) whose p-th powers vanish.
+    accounting, and the fixed ones satisfy w^p = w: mod p only the fully
+    merged interleavings survive, with a factor lambda^(p-1) per letter,
+    which is 1 by Fermat.
+    power-split: fixed generators with w^p = w tensored with nilpotent
+    differences w - w^(p) whose p-th powers vanish.
     """
     _require_bounds(degree_bound, length_bound)
     _require_prime(p)
@@ -839,30 +885,21 @@ def verify_fp_nonzero(semigroup, p, weight, degree_bound, length_bound=None):
                                      "%s -> %s" % (sorted(tags), branch)))
     sets = standard_generating_sets(semigroup, p, degree_bound, length_bound)
     if branch == "free-abelian":
-        gens = [word_symbol(ring, lam, semigroup, w) for w in sets["tel"]]
+        gens = _tel_family(ring, lam, semigroup, sets)
         report.checks.extend(_count_check(n, count, lyn) for n, count, lyn
                              in _family_counts(sets, degree_bound))
         report.checks.extend(_letterwise_power_checks(
             ring, lam, semigroup, p,
             [u for u in sets["el"] if u.degree * p <= degree_bound]))
     elif branch == "power-order":
-        gens = []
-        fixed = set(sets["tl1"])
-        for w in sets["tl"]:
-            if w in fixed:
-                scalar = _tail_scalar(ring, lam, p, w.length)
-                gens.append(word_symbol(ring, lam, semigroup, w, cap=p - 1,
-                                        relation=("power_scalar", p,
-                                                  scalar)))
-            else:
-                gens.append(word_symbol(ring, lam, semigroup, w, cap=p - 1))
+        gens = _power_order_family(ring, lam, semigroup, p, sets)
         report.checks.append(CheckRecord(
             "fixed tensor families agree", sets["tl1"] == sets["tel1"]))
         if semigroup.kind == "unitarize" \
                 and semigroup.inner.kind == "free_abelian":
             report.checks.append(_unit_power_family_check(
                 semigroup, sets["tel1"], p, degree_bound, length_bound))
-        report.checks.append(_orbit_check(semigroup, p, degree_bound,
+        report.checks.append(_orbit_check(sets, p, degree_bound,
                                           length_bound))
         fixed_letters = set(semigroup.split_p_fixed(p, degree_bound)[0])
         moved = [u for u in sets["el"]
@@ -871,17 +908,8 @@ def verify_fp_nonzero(semigroup, p, weight, degree_bound, length_bound=None):
         report.checks.extend(_letterwise_power_checks(
             ring, lam, semigroup, p, moved))
     else:
-        gens = []
-        for w in sets["tel1"]:
-            scalar = _tail_scalar(ring, lam, p, w.length)
-            gens.append(word_symbol(ring, lam, semigroup, w, cap=p - 1,
-                                    relation=("power_scalar", p, scalar)))
-        for w in sets["tel2"]:
-            image = eettl_representative(ring, lam, semigroup, w, p)
-            gens.append(GeneratorSymbol(
-                _difference_name(w, p), image, image.max_degree(), w.length,
-                cap=p - 1, relation=("power_zero", p)))
-        report.checks.append(_orbit_check(semigroup, p, degree_bound,
+        gens = _power_split_family(ring, lam, semigroup, p, sets)
+        report.checks.append(_orbit_check(sets, p, degree_bound,
                                           length_bound))
     algebra = PresentedAlgebra(ring, lam, semigroup, gens,
                                TensorPoly.unit(ring, lam, semigroup),
@@ -933,8 +961,8 @@ def _zp_basis_cells(semigroup, p, precision, weight, degree_bound):
     ring = Ring.truncated_padic(p, precision)
     lam = ring.of(weight)
     sets = standard_generating_sets(semigroup, p, degree_bound)
-    gens = [word_symbol(ring, lam, semigroup, w) for w in sets["tel"]]
-    algebra = PresentedAlgebra(ring, lam, semigroup, gens,
+    algebra = PresentedAlgebra(ring, lam, semigroup,
+                               _tel_family(ring, lam, semigroup, sets),
                                TensorPoly.unit(ring, lam, semigroup))
     cells = _square_cells(ring, TensorPoly,
                           _tensor_rows(semigroup, degree_bound, None),
@@ -1108,6 +1136,19 @@ def _cokernel_check(diag):
             "" if diag["free"] else ", divisors %s" % diag["offending"]))
 
 
+def _cokernel_family(semigroup, lam, degree_bound, report):
+    """The lifted complement generators of every degree, over Z; each
+    degree's cokernel check goes on the report."""
+    gens = []
+    for k in range(1, degree_bound + 1):
+        diag, lifted = compute_cokernel_basis(semigroup, lam, k)
+        report.checks.append(_cokernel_check(diag))
+        for name, poly in zip(diag["y_words"], lifted):
+            lead = poly.leading_term()[0]
+            gens.append(GeneratorSymbol(name, poly, k, lead.length))
+    return gens
+
+
 def verify_z_polynomial(semigroup, weight, degree_bound):
     """Lifted complement monomials form a Z-basis in every degree."""
     _require_bounds(degree_bound)
@@ -1119,13 +1160,7 @@ def verify_z_polynomial(semigroup, weight, degree_bound):
     lam = int(weight)
     report = VerificationReport("intfr", ring, weight, semigroup,
                                 {"degree": degree_bound})
-    gens = []
-    for k in range(1, degree_bound + 1):
-        diag, lifted = compute_cokernel_basis(semigroup, lam, k)
-        report.checks.append(_cokernel_check(diag))
-        for name, poly in zip(diag["y_words"], lifted):
-            lead = poly.leading_term()[0]
-            gens.append(GeneratorSymbol(name, poly, k, lead.length))
+    gens = _cokernel_family(semigroup, lam, degree_bound, report)
     algebra = PresentedAlgebra(ring, lam, semigroup, gens,
                                TensorPoly.unit(ring, lam, semigroup))
     rows = _tensor_rows(semigroup, degree_bound, None)
@@ -1197,40 +1232,47 @@ def _lift_word(monoid, word):
     return Word(letters)
 
 
-def _rb_rows(head_semigroup, tail_words_of, degree_bound):
-    """(head, tail) pure tensors per degree; tail_words_of(d) lists the
-    admissible tail words of one exact degree."""
+def _rb_rows(monoid, tail_semigroup, degree_bound, length_bound=None):
+    """(head, tail) pure tensors per degree; the tails are the words over
+    tail_semigroup, lifted into the monoid when that is its inner one."""
+    inner = tail_semigroup != monoid
     rows = {n: [] for n in range(degree_bound + 1)}
-    for head in head_semigroup.elements_up_to(degree_bound):
+    for head in monoid.elements_up_to(degree_bound):
         for n in range(head.degree, degree_bound + 1):
-            for tail in tail_words_of(n - head.degree):
-                rows[n].append((head, tail))
+            for tail in graded_basis(tail_semigroup, n - head.degree,
+                                     length_bound):
+                rows[n].append(
+                    (head, _lift_word(monoid, tail) if inner else tail))
     return rows
 
 
-def _head_symbols(ring, lam, semigroup, cap=None, relation=None):
+def _head_symbols(ring, lam, semigroup):
     """One generator per alphabet letter, as a bare head tensor."""
     out = []
     for x in alphabet_generators(semigroup):
         image = RBElement.from_parts(ring, lam, semigroup, x, empty_word())
-        out.append(GeneratorSymbol(x.name, image, x.degree, 0, cap,
-                                   relation))
+        out.append(GeneratorSymbol(x.name, image, x.degree, 0))
     return out
 
 
-def _tail_symbol(ring, lam, semigroup, word, cap=None, relation=None):
-    ident = semigroup.identity
-    image = RBElement.from_parts(ring, lam, semigroup, ident, word)
-    return GeneratorSymbol("[%s]" % word.display(True), image,
-                           ident.degree + word.degree, word.length, cap,
-                           relation)
+def _tails(ring, lam, monoid, gens):
+    """The Rota-Baxter tails 1 (x) g of shuffle generators g.
 
-
-def _rb_tail_poly(ring, lam, semigroup, poly):
-    """Wrap a tail tensor polynomial as the element 1 (x) poly."""
-    ident = semigroup.identity
-    terms = {(ident, w): c for w, c in poly.terms.items()}
-    return RBElement(ring, lam, semigroup, terms)
+    An image over the inner free alphabet of the monoid has its words
+    lifted into the monoid.  Names are bracketed unless they already are,
+    degrees gain the identity's degree, and cap and relation are kept.
+    """
+    ident = monoid.identity
+    out = []
+    for g in gens:
+        inner = g.image.semigroup != monoid
+        terms = {(ident, _lift_word(monoid, w) if inner else w): c
+                 for w, c in g.image.terms.items()}
+        name = g.name if g.name.startswith("[") else "[%s]" % g.name
+        out.append(GeneratorSymbol(
+            name, RBElement(ring, lam, monoid, terms),
+            ident.degree + g.degree, g.lead_length, g.cap, g.relation))
+    return out
 
 
 def _verify_rbl(alphabet, weight, degree_bound, length_bound):
@@ -1240,17 +1282,13 @@ def _verify_rbl(alphabet, weight, degree_bound, length_bound):
     report = VerificationReport("rbl", ring, weight, monoid,
                                 {"degree": degree_bound,
                                  "length": length_bound})
-    gens = _head_symbols(ring, lam, monoid)
-    for w in enumerate_lyndon(monoid, degree_bound, length_bound):
-        gens.append(_tail_symbol(ring, lam, monoid, w))
+    gens = _head_symbols(ring, lam, monoid) + _tails(
+        ring, lam, monoid,
+        _lyndon_family(ring, lam, monoid, degree_bound, length_bound))
     algebra = PresentedAlgebra(ring, lam, monoid, gens,
                                RBElement.one(ring, lam, monoid),
                                length_bound)
-
-    def tails(d):
-        return list(graded_basis(monoid, d, length_bound))
-
-    rows = _rb_rows(monoid, tails, degree_bound)
+    rows = _rb_rows(monoid, monoid, degree_bound, length_bound)
     _filtered_cells(report, ring, RBElement, rows,
                     algebra.monomials_by_degree(degree_bound))
     return report
@@ -1268,16 +1306,11 @@ def _verify_rbazp(alphabet, p, precision, weight, degree_bound):
                                 {"degree": degree_bound, "p": p,
                                  "precision": precision})
     sets = standard_generating_sets(free, p, degree_bound)
-    gens = _head_symbols(ring, lam, monoid)
-    for u in sets["tel"]:
-        gens.append(_tail_symbol(ring, lam, monoid, _lift_word(monoid, u)))
+    gens = _head_symbols(ring, lam, monoid) + _tails(
+        ring, lam, monoid, _tel_family(ring, lam, free, sets))
     algebra = PresentedAlgebra(ring, lam, monoid, gens,
                                RBElement.one(ring, lam, monoid))
-
-    def tails(d):
-        return [_lift_word(monoid, t) for t in graded_basis(free, d)]
-
-    rows = _rb_rows(monoid, tails, degree_bound)
+    rows = _rb_rows(monoid, free, degree_bound)
     buckets = algebra.monomials_by_degree(degree_bound)
     for n in range(degree_bound + 1):
         keys = rows[n]
@@ -1306,33 +1339,20 @@ def _verify_rbaz(alphabet, weight, degree_bound, length_bound):
     report = VerificationReport("rbaz", ring, weight, monoid,
                                 {"degree": degree_bound,
                                  "length": length_bound})
-    gens = _head_symbols(ring, lam, monoid)
-    for k in range(1, degree_bound + 1):
-        diag, lifted = compute_cokernel_basis(free, lam, k)
-        report.checks.append(_cokernel_check(diag))
-        for name, poly in zip(diag["y_words"], lifted):
-            monoid_poly = TensorPoly(
-                ring, lam, monoid,
-                {_lift_word(monoid, w): c for w, c in poly.terms.items()})
-            lead = monoid_poly.leading_term()[0]
-            gens.append(GeneratorSymbol(
-                "[%s]" % name, _rb_tail_poly(ring, lam, monoid, monoid_poly),
-                k, lead.length))
+    gens = _head_symbols(ring, lam, monoid) + _tails(
+        ring, lam, monoid, _cokernel_family(free, lam, degree_bound, report))
     algebra = PresentedAlgebra(ring, lam, monoid, gens,
                                RBElement.one(ring, lam, monoid))
     buckets = algebra.monomials_by_degree(degree_bound)
+    plain = _rb_rows(monoid, free, degree_bound)
     rows_by_degree = {}
     cols_by_degree = {}
     for n in range(degree_bound + 1):
-        plain = []
-        interior = []
-        for head in monoid.elements_up_to(n):
-            for tail in graded_basis(free, n - head.degree):
-                plain.append((head, _lift_word(monoid, tail)))
-            for tail in graded_basis(monoid, n - head.degree, length_bound):
-                if any(l.is_identity() for l in tail.letters):
-                    interior.append((head, tail))
-        rows_by_degree[n] = plain + interior
+        interior = [(head, tail) for head in monoid.elements_up_to(n)
+                    for tail in graded_basis(monoid, n - head.degree,
+                                             length_bound)
+                    if any(l.is_identity() for l in tail.letters)]
+        rows_by_degree[n] = plain[n] + interior
         cols = list(buckets.get(n, []))
         for key in interior:
             cols.append(("N:%s" % _key_text(key),
@@ -1434,51 +1454,23 @@ def _rbafp_case(case, alphabet, p, weight, degree_bound, length_bound):
                                 {"degree": degree_bound,
                                  "length": length_bound, "p": p})
     report.checks.extend(checks)
-    tail_gens = []
     if case == 1:
-        lyndon = enumerate_lyndon(semigroup, degree_bound, length_bound)
-        for w in operator_T(lyndon, p, degree_bound, length_bound):
-            tail_gens.append(_tail_symbol(ring, lam, semigroup, w,
-                                          cap=p - 1,
-                                          relation=("power_zero", p)))
-    elif case in (2, 3):
-        sets = standard_generating_sets(semigroup, p, degree_bound,
-                                        length_bound)
-        fixed = set(sets["tl1"])
-        for w in sets["tl"]:
-            if w in fixed:
-                # the p-th power of the tail element 1 (x) w merges p
-                # copies at every letter slot including the unit head,
-                # hence the exponent (p-1)*len(w) with no Fermat rebate
-                scalar = _tail_scalar(ring, lam, p, w.length + 1)
-                tail_gens.append(_tail_symbol(
-                    ring, lam, semigroup, w, cap=p - 1,
-                    relation=("power_scalar", p, scalar)))
-            else:
-                tail_gens.append(_tail_symbol(ring, lam, semigroup, w,
-                                              cap=p - 1))
-        if case == 2:
-            report.checks.append(_unit_power_family_check(
-                semigroup, sets["tel1"], p, degree_bound, length_bound))
-        else:
-            report.checks.append(CheckRecord(
-                "every tail generator is fixed", not sets["tl2"]))
+        family = _nilpotent_family(ring, lam, semigroup, p, degree_bound,
+                                   length_bound)
     else:
         sets = standard_generating_sets(semigroup, p, degree_bound,
                                         length_bound)
-        ident = semigroup.identity
-        for w in sets["tel1"]:
-            scalar = _tail_scalar(ring, lam, p, w.length + 1)
-            tail_gens.append(_tail_symbol(
-                ring, lam, semigroup, w, cap=p - 1,
-                relation=("power_scalar", p, scalar)))
-        for w in sets["tel2"]:
-            poly = eettl_representative(ring, lam, semigroup, w, p)
-            image = _rb_tail_poly(ring, lam, semigroup, poly)
-            tail_gens.append(GeneratorSymbol(
-                _difference_name(w, p), image,
-                ident.degree + poly.max_degree(), w.length,
-                cap=p - 1, relation=("power_zero", p)))
+        if case == 4:
+            family = _power_split_family(ring, lam, semigroup, p, sets)
+        else:
+            family = _power_order_family(ring, lam, semigroup, p, sets)
+        if case == 2:
+            report.checks.append(_unit_power_family_check(
+                semigroup, sets["tel1"], p, degree_bound, length_bound))
+        elif case == 3:
+            report.checks.append(CheckRecord(
+                "every tail generator is fixed", not sets["tl2"]))
+    tail_gens = _tails(ring, lam, semigroup, family)
     unit = RBElement.one(ring, lam, semigroup)
     tail_algebra = PresentedAlgebra(ring, lam, semigroup, tail_gens, unit,
                                     length_bound)
@@ -1504,11 +1496,7 @@ def _rbafp_case(case, alphabet, p, weight, degree_bound, length_bound):
                     cols[head.degree + d].append(
                         (label, tail_algebra.multiply(bare, mono)))
         relation_algebra = tail_algebra
-
-    def tails(d):
-        return list(graded_basis(semigroup, d, length_bound))
-
-    rows = _rb_rows(semigroup, tails, degree_bound)
+    rows = _rb_rows(semigroup, semigroup, degree_bound, length_bound)
     _filtered_cells(report, ring, RBElement, rows, cols)
     report.checks.extend(check_relations(relation_algebra,
                                          _relation_length_cap(p)))
@@ -1584,6 +1572,5 @@ def verify_semigroup_props(semigroup, p, degree_bound, length_bound=None):
             and semigroup.inner.kind == "free_abelian":
         report.checks.append(_unit_power_family_check(
             semigroup, sets["tel1"], p, degree_bound, length_bound))
-    report.checks.append(_orbit_check(semigroup, p, degree_bound,
-                                      length_bound))
+    report.checks.append(_orbit_check(sets, p, degree_bound, length_bound))
     return report

@@ -367,7 +367,12 @@ def tel2_orbit_check(semigroup, p, max_degree, max_length=None):
     Iterates that land on a fixed word are cut off there: fixed words
     live in the other part of the split.  Returns (ok, details).
     """
-    sets = standard_generating_sets(semigroup, p, max_degree, max_length)
+    return _tel2_orbit(standard_generating_sets(
+        semigroup, p, max_degree, max_length), p, max_degree, max_length)
+
+
+def _tel2_orbit(sets, p, max_degree, max_length):
+    """tel2_orbit_check on the generating sets of its bounds."""
     tl2 = set(sets["tl2"])
     orbit = {}
     collisions = []

@@ -250,6 +250,12 @@ def test_generator_family_below_p_two_exits_2():
     assert "p >= 2" in err
 
 
+def test_generator_family_refuses_a_non_prime_p():
+    rc, out, err = run("gens", "tl", "--p", "4", "--deg", "4")
+    assert (rc, out) == (2, "")
+    assert "p must be a prime number" in err
+
+
 def test_unset_precision_keeps_its_default():
     rc, out, _ = run("mul", "x", "x", "--lambda", "1", "--ring", "Zp",
                      "--p", "3", "--format", "json")

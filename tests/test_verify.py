@@ -325,6 +325,35 @@ def test_rb_fp_cases():
     assert names4["head monomials enumerate the coefficient algebra"]
 
 
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_fixed_generators_past_the_relation_cap_are_p_idempotent(p):
+    # check_relations stops at _relation_length_cap(p); one length past
+    # it, every fixed power-order generator still has w^p = 1*w at every
+    # unit weight, as a shuffle generator and as its Rota-Baxter tail
+    length = verify_module._relation_length_cap(p) + 1
+    ring = Ring.prime_field(p)
+    checked = 0
+    for semigroup in (verify_module._unitarized_free(["x"]),
+                      verify_module._p_idempotent_heads(p, 1)[0]):
+        sets = mx.standard_generating_sets(semigroup, p, length, length)
+        fixed_words = [w for w in sets["tl1"] if w.length == length]
+        for lam in range(1, p):
+            lam = ring.of(lam)
+            fixed = [g for g in verify_module._power_order_family(
+                ring, lam, semigroup, p, sets)
+                if g.relation is not None and g.lead_length == length]
+            assert [g.name for g in fixed] == [
+                w.display(True) for w in fixed_words]
+            tails = verify_module._tails(ring, lam, semigroup, fixed)
+            for g, tail in zip(fixed, tails):
+                assert g.relation == tail.relation == (
+                    "power_scalar", p, ring.one)
+                assert g.image.shuffle_power(p) == g.image
+                assert tail.image.power(p) == tail.image
+                checked += 1
+    assert checked >= p - 1
+
+
 # semigroup property reports
 
 
