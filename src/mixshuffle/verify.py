@@ -23,19 +23,20 @@ algebra.  What "comparison" means depends on the coefficient ring:
 
 Monomial images are elements from their generators to the cells, and
 elements hold integer numerators over one denominator keyed by letter
-codes.  Each cell driver sorts its window's rows once and keys every
-column's numerators by row rank, so the eliminators hash and compare
-plain ints.  Over Q a cell is first eliminated mod the 61-bit prime
-P = 2^61 - 1: a minor that is nonzero mod P is nonzero over Q, so a full
-rank mod P certifies the cell, and only a deficient one is eliminated
-again exactly, with tracking where a counterexample is to be named.
-Over F_p the same untracked pass runs mod p.  No monomial's terms are
-read as Words or Fractions on the way to a cell.
+codes.  Rows are code keys too, numbered in the order given, which no
+rank, divisor or named dependency depends on; each column's numerators
+are keyed by row number, so the eliminators hash and compare plain ints.
+Over Q a cell is first eliminated mod the 61-bit prime P = 2^61 - 1: a
+minor that is nonzero mod P is nonzero over Q, so a full rank mod P
+certifies the cell, and only a deficient one is eliminated again
+exactly, with tracking where a counterexample is to be named.  Over F_p
+the same untracked pass runs mod p.  No row or term is read as a Word
+or a Fraction on the way to a cell.
 
 Each generator family has one builder.  The Rota-Baxter verifiers mirror
 Sh(A) = A (x) Sh+(A): each builds only its heads and takes its tails from
-its shuffle twin's family through one map, g -> 1 (x) g, that lifts words
-over the inner free alphabet into the monoid where needed.
+its shuffle twin's family through one map, g -> 1 (x) g.  Words change
+alphabet (into the monoid, or a larger one) by one map on letter codes.
 
 One helper computes the rank of a cell for every ring (and over Z its
 elementary divisors); the spanning check reads its verdict off that rank
@@ -57,7 +58,7 @@ from .rings import Ring, Matrix, SparseEliminator, _TruncatedSolver, \
     _ZSolver, _is_prime, elementary_divisors
 from .semigroups import Element, Unitarized, FreeAbelian, ProductSemigroup, \
     ElementaryPGroup, FiniteTableSemigroup, cyclic_group_table, letter_codec
-from .words import Word, empty_word, enumerate_words, enumerate_lyndon, \
+from .words import empty_word, enumerate_words, enumerate_lyndon, \
     operator_T, standard_generating_sets, _tel2_orbit, componentwise_p_power
 from .shuffle import TensorPoly, word_poly, graded_basis, shuffle_sum, \
     eettl_representative, length_rescale, with_weight
@@ -432,12 +433,10 @@ def _modular_field(ring):
     return ring if ring.is_field else Ring.prime_field(ring.p)
 
 
-def _ranks(kind, rows):
-    """The code key of each row (a key of kind, TensorPoly or RBElement)
-    mapped to the row's place in ascending kind.key_order: integer keys
-    that order like the rows."""
-    return {kind.code_key(r): i
-            for i, r in enumerate(sorted(rows, key=kind.key_order))}
+def _ranks(rows):
+    """Each row's code key (a word's code tuple, or a pair of a head code
+    and a tail code tuple) mapped to its place in the given order."""
+    return {r: i for i, r in enumerate(rows)}
 
 
 def _ranked(rank, cols):
@@ -497,7 +496,7 @@ def _dependency(elim, name, vec):
     return "%s = %s" % (name, " + ".join(parts) or "0")
 
 
-def _filtered_cells(report, field, kind, rows_by_degree, cols_by_degree):
+def _filtered_cells(report, field, rows_by_degree, cols_by_degree):
     """Cumulative full-rank certification over a field.
 
     Columns are inserted in ascending degree; because merges never raise
@@ -507,7 +506,7 @@ def _filtered_cells(report, field, kind, rows_by_degree, cols_by_degree):
     run in which every column enlarges the span; a run with a dependent
     column is eliminated again exactly, with tracking, to name it.
     """
-    rank = _ranks(kind, [r for rows in rows_by_degree.values() for r in rows])
+    rank = _ranks([r for rows in rows_by_degree.values() for r in rows])
     degrees = sorted(set(rows_by_degree) | set(cols_by_degree))
     ranked = [(n,) + _ranked(rank, cols_by_degree.get(n, []))
               for n in degrees]
@@ -536,7 +535,7 @@ def _filtered_cells(report, field, kind, rows_by_degree, cols_by_degree):
             CellRecord(n, dim, len(cols), increment, ok, note))
 
 
-def _square_cells(ring, kind, rows_by_degree, cols_by_degree):
+def _square_cells(ring, rows_by_degree, cols_by_degree):
     """Per-degree basis certification over Z or Z/p^N.
 
     Each degree needs as many monomials as words, of full rank: over Z
@@ -552,7 +551,7 @@ def _square_cells(ring, kind, rows_by_degree, cols_by_degree):
         if ring.kind == "Z" and len(keys) != len(cols):
             note = "non-square system"
         else:
-            inside, note = _ranked(_ranks(kind, keys), cols)
+            inside, note = _ranked(_ranks(keys), cols)
         if note is None:
             rank, divisors = _cell_rank(ring, [vec for _, _, vec in inside])
             if divisors is None:
@@ -566,13 +565,6 @@ def _square_cells(ring, kind, rows_by_degree, cols_by_degree):
         cells.append(CellRecord(n, len(keys), len(cols), rank, note is None,
                                 note))
     return cells
-
-
-def _key_text(key):
-    if isinstance(key, Word):
-        return key.display(True)
-    head, tail = key
-    return "%s(x)%s" % (head.name, tail.display(True))
 
 
 def check_independence(algebra, degree):
@@ -625,7 +617,7 @@ def check_spanning(algebra, degree):
     rows = list(graded_basis(algebra.semigroup, degree,
                              algebra.length_bound))
     cols = algebra.monomials_by_degree(degree).get(degree, [])
-    inside, note = _ranked(_ranks(TensorPoly, rows), cols)
+    inside, note = _ranked(_ranks([w.codes for w in rows]), cols)
     if note is not None:
         return CellRecord(degree, len(rows), len(cols), 0, False, note)
     # columns over Q are scaled to their numerators: the same span
@@ -664,8 +656,16 @@ def _has_degree_zero_letter(semigroup):
 
 
 def _tensor_rows(semigroup, degree_bound, length_bound):
-    return {n: list(graded_basis(semigroup, n, length_bound))
+    """The code tuples of the words of each degree."""
+    return {n: [w.codes for w in graded_basis(semigroup, n, length_bound)]
             for n in range(degree_bound + 1)}
+
+
+def _embedding(source, target, key):
+    """The map of code tuples over source to code tuples over target that
+    sends the letter with Element.key k to the letter with key key(k)."""
+    keys, code = letter_codec(source).keys, letter_codec(target).code
+    return lambda codes: tuple([code(key(keys[c])) for c in codes])
 
 
 def _relation_length_cap(p):
@@ -746,7 +746,7 @@ def verify_radford_hoffman(semigroup, weight, degree_bound,
                                TensorPoly.unit(ring, lam, semigroup),
                                length_bound)
     rows = _tensor_rows(semigroup, degree_bound, length_bound)
-    _filtered_cells(report, ring, TensorPoly, rows,
+    _filtered_cells(report, ring, rows,
                     algebra.monomials_by_degree(degree_bound))
     if lam != 0:
         report.checks.append(_rescaling_check(ring, lam, semigroup,
@@ -795,7 +795,7 @@ def verify_fp_weight0(semigroup, p, degree_bound, length_bound=None):
                                TensorPoly.unit(ring, lam, semigroup),
                                length_bound)
     rows = _tensor_rows(semigroup, degree_bound, length_bound)
-    _filtered_cells(report, ring, TensorPoly, rows,
+    _filtered_cells(report, ring, rows,
                     algebra.monomials_by_degree(degree_bound))
     report.checks.extend(check_relations(algebra, _relation_length_cap(p)))
     return report
@@ -843,15 +843,14 @@ def _unit_power_family_check(semigroup, family, p, degree_bound,
                              length_bound):
     """Over a unitarized free monoid the fixed tensor Lyndon words are
     exactly the tensor powers of the bare identity letter."""
-    ident = semigroup.identity
+    ident = semigroup.identity.code
     limit = degree_bound if length_bound is None else length_bound
     expected = []
     q = 1
     while q <= limit:
-        expected.append(Word((ident,) * q))
+        expected.append((ident,) * q)
         q *= p
-    ok = sorted(family, key=TensorPoly.key_order) == \
-        sorted(expected, key=TensorPoly.key_order)
+    ok = sorted(w.codes for w in family) == sorted(expected)
     return CheckRecord("fixed tensor Lyndon words are identity powers", ok,
                        "count %d" % len(expected))
 
@@ -915,7 +914,7 @@ def verify_fp_nonzero(semigroup, p, weight, degree_bound, length_bound=None):
                                TensorPoly.unit(ring, lam, semigroup),
                                length_bound)
     rows = _tensor_rows(semigroup, degree_bound, length_bound)
-    _filtered_cells(report, ring, TensorPoly, rows,
+    _filtered_cells(report, ring, rows,
                     algebra.monomials_by_degree(degree_bound))
     report.checks.extend(check_relations(algebra, _relation_length_cap(p)))
     return report
@@ -956,18 +955,16 @@ def _int_weight(weight, p):
     return w
 
 
-def _zp_basis_cells(semigroup, p, precision, weight, degree_bound):
-    """Tensor Lyndon monomials against the word basis mod p^N."""
+def _zp_basis_cells(semigroup, p, precision, weight, degree_bound, sets):
+    """Tensor Lyndon monomials, from the generating sets, against the word
+    basis mod p^N."""
     ring = Ring.truncated_padic(p, precision)
     lam = ring.of(weight)
-    sets = standard_generating_sets(semigroup, p, degree_bound)
     algebra = PresentedAlgebra(ring, lam, semigroup,
                                _tel_family(ring, lam, semigroup, sets),
                                TensorPoly.unit(ring, lam, semigroup))
-    cells = _square_cells(ring, TensorPoly,
-                          _tensor_rows(semigroup, degree_bound, None),
-                          algebra.monomials_by_degree(degree_bound))
-    return cells, sets
+    return _square_cells(ring, _tensor_rows(semigroup, degree_bound, None),
+                         algebra.monomials_by_degree(degree_bound))
 
 
 def verify_zp(semigroup, p, precision, weight, degree_bound):
@@ -983,7 +980,8 @@ def verify_zp(semigroup, p, precision, weight, degree_bound):
     report = VerificationReport("isomor", ring, weight, semigroup,
                                 {"degree": degree_bound, "p": p,
                                  "precision": precision})
-    cells, sets = _zp_basis_cells(semigroup, p, precision, w, degree_bound)
+    sets = standard_generating_sets(semigroup, p, degree_bound)
+    cells = _zp_basis_cells(semigroup, p, precision, w, degree_bound, sets)
     report.cells.extend(cells)
     for n, count, lyn in _family_counts(sets, degree_bound):
         report.checks.append(_count_check(n, count, lyn))
@@ -998,8 +996,8 @@ def verify_zp(semigroup, p, precision, weight, degree_bound):
     report.checks.extend(_letterwise_power_checks(
         fp, fp.of(w), semigroup, p,
         [u for u in sets["el"] if u.degree * p <= degree_bound]))
-    stable_cells, _ = _zp_basis_cells(semigroup, p, precision + 2, w,
-                                      degree_bound)
+    stable_cells = _zp_basis_cells(semigroup, p, precision + 2, w,
+                                   degree_bound, sets)
     same = all(a.ok == b.ok and a.rank == b.rank
                for a, b in zip(cells, stable_cells))
     report.checks.append(CheckRecord(
@@ -1165,17 +1163,8 @@ def verify_z_polynomial(semigroup, weight, degree_bound):
                                TensorPoly.unit(ring, lam, semigroup))
     rows = _tensor_rows(semigroup, degree_bound, None)
     report.cells.extend(_square_cells(
-        ring, TensorPoly, rows, algebra.monomials_by_degree(degree_bound)))
+        ring, rows, algebra.monomials_by_degree(degree_bound)))
     return report
-
-
-def _pad_word(word, big):
-    width = len(big.generators)
-    letters = []
-    for letter in word.letters:
-        key = tuple(letter.key) + (0,) * (width - len(letter.key))
-        letters.append(Element(big, key))
-    return Word(tuple(letters))
 
 
 def verify_nested_summand(semigroups, weight, degree_bound):
@@ -1200,12 +1189,13 @@ def verify_nested_summand(semigroups, weight, degree_bound):
     # lifted bases of every alphabet but the last, per degree
     bases = [[compute_cokernel_basis(s, lam, n)[1]
               for n in range(1, degree_bound + 1)] for s in semigroups[:-1]]
-    for step, big in enumerate(semigroups[1:]):
+    for step, (small, big) in enumerate(zip(semigroups, semigroups[1:])):
+        pad = _embedding(small, big, lambda key, n=len(big.generators):
+                         key + (0,) * (n - len(key)))
         for n in range(1, degree_bound + 1):
             rows, columns = _decomposables(big, lam, n)
-            index = {w: i for i, w in enumerate(rows)}
-            lifts = [{index[_pad_word(w, big)]: c
-                      for w, c in poly.terms.items()}
+            index = {w.codes: i for i, w in enumerate(rows)}
+            lifts = [{index[pad(t)]: c for t, c in poly.code_terms.items()}
                      for poly in bases[step][n - 1]]
             # past the map's rank r: the divisors of the lifts' cokernel
             # coordinates when the map's are all 1; else never all 1
@@ -1227,22 +1217,25 @@ def _unitarized_free(alphabet):
     return Unitarized(FreeAbelian(list(alphabet)))
 
 
-def _lift_word(monoid, word):
-    letters = tuple(Element(monoid, ("e", l.key)) for l in word.letters)
-    return Word(letters)
+def _inner_lift(monoid, semigroup):
+    """Code tuples over semigroup into the monoid: x -> ("e", x) when
+    semigroup is the monoid's inner alphabet, else unchanged."""
+    if semigroup == monoid:
+        return lambda codes: codes
+    return _embedding(semigroup, monoid, lambda key: ("e", key))
 
 
 def _rb_rows(monoid, tail_semigroup, degree_bound, length_bound=None):
-    """(head, tail) pure tensors per degree; the tails are the words over
-    tail_semigroup, lifted into the monoid when that is its inner one."""
-    inner = tail_semigroup != monoid
+    """The code keys (head code, tail codes) of the pure tensors of each
+    degree, head by head; the tails are the words over tail_semigroup,
+    lifted into the monoid when that is its inner alphabet."""
+    lift = _inner_lift(monoid, tail_semigroup)
     rows = {n: [] for n in range(degree_bound + 1)}
     for head in monoid.elements_up_to(degree_bound):
         for n in range(head.degree, degree_bound + 1):
-            for tail in graded_basis(tail_semigroup, n - head.degree,
-                                     length_bound):
-                rows[n].append(
-                    (head, _lift_word(monoid, tail) if inner else tail))
+            rows[n].extend(
+                (head.code, lift(tail.codes)) for tail in graded_basis(
+                    tail_semigroup, n - head.degree, length_bound))
     return rows
 
 
@@ -1258,19 +1251,23 @@ def _head_symbols(ring, lam, semigroup):
 def _tails(ring, lam, monoid, gens):
     """The Rota-Baxter tails 1 (x) g of shuffle generators g.
 
-    An image over the inner free alphabet of the monoid has its words
-    lifted into the monoid.  Names are bracketed unless they already are,
-    degrees gain the identity's degree, and cap and relation are kept.
+    An image's code terms gain the identity's code as head, with their
+    words lifted into the monoid when they are over its inner alphabet;
+    the lift is injective, so the numerators and denominator stay as
+    they are.  Names are bracketed unless they already are, degrees gain
+    the identity's degree, and cap and relation are kept.
     """
     ident = monoid.identity
     out = []
     for g in gens:
-        inner = g.image.semigroup != monoid
-        terms = {(ident, _lift_word(monoid, w) if inner else w): c
-                 for w, c in g.image.terms.items()}
+        image = g.image
+        lift = _inner_lift(monoid, image.semigroup)
+        terms = {(ident.code, lift(t)): x
+                 for t, x in image.code_terms.items()}
         name = g.name if g.name.startswith("[") else "[%s]" % g.name
         out.append(GeneratorSymbol(
-            name, RBElement(ring, lam, monoid, terms),
+            name, RBElement._canonical(ring, image.lam, monoid, terms,
+                                       image.den),
             ident.degree + g.degree, g.lead_length, g.cap, g.relation))
     return out
 
@@ -1289,7 +1286,7 @@ def _verify_rbl(alphabet, weight, degree_bound, length_bound):
                                RBElement.one(ring, lam, monoid),
                                length_bound)
     rows = _rb_rows(monoid, monoid, degree_bound, length_bound)
-    _filtered_cells(report, ring, RBElement, rows,
+    _filtered_cells(report, ring, rows,
                     algebra.monomials_by_degree(degree_bound))
     return report
 
@@ -1315,7 +1312,7 @@ def _verify_rbazp(alphabet, p, precision, weight, degree_bound):
     for n in range(degree_bound + 1):
         keys = rows[n]
         cols = buckets.get(n, [])
-        inside, note = _ranked(_ranks(RBElement, keys), cols)
+        inside, note = _ranked(_ranks(keys), cols)
         rank = 0
         if note is None:
             rank, _ = _cell_rank(ring, [vec for _, _, vec in inside])
@@ -1344,22 +1341,21 @@ def _verify_rbaz(alphabet, weight, degree_bound, length_bound):
     algebra = PresentedAlgebra(ring, lam, monoid, gens,
                                RBElement.one(ring, lam, monoid))
     buckets = algebra.monomials_by_degree(degree_bound)
-    plain = _rb_rows(monoid, free, degree_bound)
-    rows_by_degree = {}
+    rows_by_degree = _rb_rows(monoid, free, degree_bound)
     cols_by_degree = {}
+    ident = monoid.identity.code
     for n in range(degree_bound + 1):
-        interior = [(head, tail) for head in monoid.elements_up_to(n)
-                    for tail in graded_basis(monoid, n - head.degree,
-                                             length_bound)
-                    if any(l.is_identity() for l in tail.letters)]
-        rows_by_degree[n] = plain[n] + interior
         cols = list(buckets.get(n, []))
-        for key in interior:
-            cols.append(("N:%s" % _key_text(key),
-                         RBElement(ring, lam, monoid, {key: 1})))
+        for head in monoid.elements_up_to(n):
+            for tail in graded_basis(monoid, n - head.degree, length_bound):
+                if ident in tail.codes:
+                    key = (head.code, tail.codes)
+                    rows_by_degree[n].append(key)
+                    cols.append(("N:%s(x)%s" % (head.name, tail.display(True)),
+                                 RBElement._canonical(ring, lam, monoid,
+                                                      {key: 1}, 1)))
         cols_by_degree[n] = cols
-    report.cells.extend(_square_cells(ring, RBElement,
-                                      rows_by_degree, cols_by_degree))
+    report.cells.extend(_square_cells(ring, rows_by_degree, cols_by_degree))
     return report
 
 
@@ -1497,7 +1493,7 @@ def _rbafp_case(case, alphabet, p, weight, degree_bound, length_bound):
                         (label, tail_algebra.multiply(bare, mono)))
         relation_algebra = tail_algebra
     rows = _rb_rows(semigroup, semigroup, degree_bound, length_bound)
-    _filtered_cells(report, ring, RBElement, rows, cols)
+    _filtered_cells(report, ring, rows, cols)
     report.checks.extend(check_relations(relation_algebra,
                                          _relation_length_cap(p)))
     return report
@@ -1566,8 +1562,8 @@ def verify_semigroup_props(semigroup, p, degree_bound, length_bound=None):
                    if all(l in fixed_letters for l in w.letters)]
     report.checks.append(CheckRecord(
         "fixed Lyndon words are those over fixed letters",
-        sorted(sets["l1"], key=TensorPoly.key_order) ==
-        sorted(expected_l1, key=TensorPoly.key_order)))
+        sorted(w.codes for w in sets["l1"]) ==
+        sorted(w.codes for w in expected_l1)))
     if semigroup.kind == "unitarize" \
             and semigroup.inner.kind == "free_abelian":
         report.checks.append(_unit_power_family_check(

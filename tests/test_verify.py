@@ -566,7 +566,7 @@ def test_field_cells_fail_when_an_image_leaves_the_window(monkeypatch):
 
     def letters_only_in_degree_2(semigroup, degree_bound, length_bound):
         rows = real(semigroup, degree_bound, length_bound)
-        rows[2] = [w for w in rows[2] if w.length == 1]
+        rows[2] = [w for w in rows[2] if len(w) == 1]
         return rows
 
     monkeypatch.setattr(verify_module, "_tensor_rows",
@@ -675,6 +675,14 @@ def test_nested_cells_fail_on_a_scaled_complement(monkeypatch):
     assert r.counterexample is None
 
 
+def pad_word(word, big):
+    """The word over the larger free alphabet big, each letter's exponent
+    vector padded with zeros."""
+    width = len(big.generators)
+    return Word(tuple(mx.Element(big, l.key + (0,) * (width - len(l.key)))
+                      for l in word.letters))
+
+
 def reference_nested(semigroups, weight, degree_bound):
     """Every nested cell as cell_of gives it, from each lift projected
     onto rows rank.. of the dense Smith transform U of the next
@@ -689,7 +697,7 @@ def reference_nested(semigroups, weight, degree_bound):
             size = len(rows) - rank
             columns = []
             for poly in lifted:
-                vec = {rows.index(verify_module._pad_word(w, big)): c
+                vec = {rows.index(pad_word(w, big)): c
                        for w, c in poly.terms.items()}
                 columns.append([sum(U.rows[i][j] * c for j, c in vec.items())
                                 for i in range(rank, len(rows))])
@@ -1148,16 +1156,18 @@ def test_code_form_cells_match_the_word_key_oracle(ring, weights, seed):
         expected = reference_monomials(alg, bound)
         assert {n: dict(bucket) for n, bucket in buckets.items()} == expected
         columns = word_columns(buckets)
+        codes = {n: [kind.code_key(k) for k in keys]
+                 for n, keys in rows.items()}
         if ring.is_field:
             report = mx.VerificationReport("draw", ring, lam,
                                            alg.semigroup, {})
-            verify_module._filtered_cells(report, ring, kind, rows, buckets)
+            verify_module._filtered_cells(report, ring, codes, buckets)
             assert ([cell_of(c) for c in report.cells],
                     report.counterexample) == reference_filtered_cells(
                         ring, kind.key_order, rows, columns)
         else:
             assert [cell_of(c) for c in verify_module._square_cells(
-                ring, kind, rows, buckets)] == reference_square_cells(
+                ring, codes, buckets)] == reference_square_cells(
                     ring, kind.key_order, rows, columns)
 
 
@@ -1203,7 +1213,7 @@ def test_q_filtered_cells_with_p_in_an_entry_or_a_denominator(monkeypatch):
     f = FreeAbelian(["x"])
     x = f.parse("x")
     xx, x2 = Word((x, x)), Word((x ** 2,))
-    rows = {2: [xx, x2]}
+    rows = {2: [xx.codes, x2.codes]}
 
     def column(name, terms, den):
         return name, TensorPoly(Q, 1, f, {w: Fraction(c, den)
@@ -1212,8 +1222,7 @@ def test_q_filtered_cells_with_p_in_an_entry_or_a_denominator(monkeypatch):
     def cells(*cols):
         del made[:]
         report = mx.VerificationReport("cell", Q, 1, f, {})
-        verify_module._filtered_cells(report, Q, TensorPoly, rows,
-                                      {2: list(cols)})
+        verify_module._filtered_cells(report, Q, rows, {2: list(cols)})
         return [cell_of(c) for c in report.cells], report.counterexample
 
     # independent over Q, dependent mod P: the exact pass certifies it
@@ -1275,3 +1284,216 @@ def test_q_failures_reproduce_under_a_small_certifying_prime(monkeypatch,
     for names, top in (("x",), 4), (("x", "y"), 3):
         test_spanning_matches_solving_every_word(names, top,
                                                  Ring.rationals())
+
+
+# the cells do not depend on the order of their rows
+
+
+def shuffled(rng, rows_by_degree):
+    """Each degree's rows in a random order."""
+    return {n: rng.sample(rows, len(rows))
+            for n, rows in rows_by_degree.items()}
+
+
+def driver_cells(ring, rows, buckets):
+    """The cells and counterexample of the ring's cell driver."""
+    if ring.is_field:
+        report = mx.VerificationReport("rows", ring, 0, None, {})
+        verify_module._filtered_cells(report, ring, rows, buckets)
+        return [cell_of(c) for c in report.cells], report.counterexample
+    return [cell_of(c) for c in verify_module._square_cells(
+        ring, rows, buckets)], None
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("ring,weights", DRAW_RINGS)
+def test_drawn_cells_do_not_depend_on_the_row_order(ring, weights, seed):
+    rng = random.Random("rows %r/%d" % (ring, seed))
+    lam = ring.of(weights[seed % len(weights)])
+    for kind, (alg, rows) in (
+            (TensorPoly, draw_tensor_algebra(rng, ring, lam)),
+            (mx.RBElement, draw_rb_algebra(rng, ring, lam, 3, 3))):
+        codes = {n: [kind.code_key(k) for k in keys]
+                 for n, keys in rows.items()}
+        buckets = alg.monomials_by_degree(max(rows))
+        expected = driver_cells(ring, codes, buckets)
+        for _ in range(3):
+            assert driver_cells(ring, shuffled(rng, codes),
+                                buckets) == expected
+
+
+def rerun_on_shuffled_rows(monkeypatch, rng):
+    """Patch both cell drivers to run every call again on each degree's
+    rows in a random order and to assert the same cells and
+    counterexample; returns the list of the calls' rings."""
+    filtered = verify_module._filtered_cells
+    square = verify_module._square_cells
+    rings = []
+
+    def filtered_twice(report, field, rows, cols):
+        again = mx.VerificationReport("rows", field, 0, None, {})
+        filtered(again, field, shuffled(rng, rows), cols)
+        start = len(report.cells)
+        filtered(report, field, rows, cols)
+        assert [cell_of(c) for c in report.cells[start:]] == \
+            [cell_of(c) for c in again.cells]
+        assert report.counterexample == again.counterexample
+        rings.append(field)
+
+    def square_twice(ring, rows, cols):
+        cells = square(ring, rows, cols)
+        assert [cell_of(c) for c in square(ring, shuffled(rng, rows),
+                                           cols)] == \
+            [cell_of(c) for c in cells]
+        rings.append(ring)
+        return cells
+
+    monkeypatch.setattr(verify_module, "_filtered_cells", filtered_twice)
+    monkeypatch.setattr(verify_module, "_square_cells", square_twice)
+    return rings
+
+
+# pinned reports over every ring, on tensor and Rota-Baxter rows,
+# passing and failing: each test asserts its own cells and counterexample
+PINNED_CELLS = (
+    test_radford_two_generators,
+    test_weighted_rational_structure,
+    test_fp_nonzero_group_alphabet,
+    test_zp_lift,
+    test_z_polynomial_structure,
+    test_rb_free_over_rationals,
+    test_rb_integral,
+    test_rb_fp_cases,
+    test_field_cells_fail_on_a_dependent_family,
+    test_field_cells_fail_when_an_image_leaves_the_window,
+    test_z_cells_fail_when_an_image_leaves_the_window,
+    test_z_cells_fail_on_a_non_unit_divisor,
+    test_z_cells_fail_on_a_rank_deficit,
+    test_zp_cells_fail_on_lyndon_words,
+)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_pinned_cells_do_not_depend_on_the_row_order(monkeypatch, seed):
+    rings = rerun_on_shuffled_rows(monkeypatch, random.Random(seed))
+    for test in PINNED_CELLS:
+        with monkeypatch.context() as patch:
+            if inspect.signature(test).parameters:
+                test(patch)
+            else:
+                test()
+    assert {r.kind for r in rings} == {
+        r.kind for r in (Ring.rationals(), Ring.prime_field(2),
+                         Ring.integers(), Ring.truncated_padic(2, 2))}
+
+
+# words change alphabet on letter codes as the Word-level lifts do
+
+
+def lift_word(monoid, word):
+    """A word over the monoid's inner alphabet, letter by letter, as a
+    word over the monoid."""
+    return Word(tuple(mx.Element(monoid, ("e", l.key))
+                      for l in word.letters))
+
+
+def reference_tails(ring, lam, monoid, gens):
+    """The tail images 1 (x) g, each through the constructor from the
+    image's Word-keyed terms."""
+    ident = monoid.identity
+    return [mx.RBElement(ring, lam, monoid, {
+        (ident, w if g.image.semigroup == monoid else lift_word(monoid, w)):
+        c for w, c in g.image.terms.items()}) for g in gens]
+
+
+def record_embeddings(monkeypatch):
+    """The (source, target, map) of every code map the verifiers make."""
+    made = []
+    real = verify_module._embedding
+
+    def recording(source, target, key):
+        embed = real(source, target, key)
+        made.append((source, target, embed))
+        return embed
+
+    monkeypatch.setattr(verify_module, "_embedding", recording)
+    return made
+
+
+@pytest.mark.parametrize("letters", (1, 2, 3))
+def test_rb_rows_and_tails_match_the_word_lifts(monkeypatch, letters):
+    made = record_embeddings(monkeypatch)
+    alphabet = ("x", "y", "z")[:letters]
+    monoid = verify_module._unitarized_free(alphabet)
+    free = monoid.inner
+    bound = 4 - letters
+    for tail_semigroup in (free, monoid):
+        rows = {n: [mx.RBElement.code_key(
+            (head, lift_word(monoid, tail) if tail_semigroup == free
+             else tail))
+            for head in monoid.elements_up_to(n)
+            for tail in mx.graded_basis(tail_semigroup, n - head.degree, 2)]
+            for n in range(bound + 1)}
+        assert verify_module._rb_rows(monoid, tail_semigroup, bound,
+                                      2) == rows
+    Q, Z = Ring.rationals(), Ring.integers()
+    Z9 = Ring.truncated_padic(3, 2)
+    lam = Q.of(Fraction(5, 3))
+    x, y = mx.enumerate_words(free, 2)[:2]
+    halves = TensorPoly(Q, lam, free, {x: Fraction(1, 2),
+                                       y: Fraction(-5, 3)})
+    assert halves.den == 6
+    families = [
+        (Q, lam, verify_module._lyndon_family(Q, lam, monoid, bound, 2)),
+        (Q, lam, verify_module._lyndon_family(Q, lam, free, bound, None)
+         + [GeneratorSymbol("h", halves, halves.max_degree(),
+                            halves.leading_term()[0].length)]),
+        (Z9, Z9.of(2), verify_module._tel_family(
+            Z9, Z9.of(2), free, mx.standard_generating_sets(free, 3,
+                                                           bound))),
+        (Z, -1, verify_module._cokernel_family(
+            free, -1, bound, mx.VerificationReport("z", Z, -1, free, {}))),
+    ]
+    for ring, lam, gens in families:
+        tails = verify_module._tails(ring, lam, monoid, gens)
+        assert [t.image for t in tails] == \
+            reference_tails(ring, lam, monoid, gens)
+        assert [(t.degree, t.lead_length, t.cap, t.relation)
+                for t in tails] == [(g.degree, g.lead_length, g.cap,
+                                     g.relation) for g in gens]
+    words = mx.enumerate_words(free, bound)
+    assert made and {(s, t) for s, t, _ in made} == {(free, monoid)}
+    for _, _, embed in made:
+        assert [embed(w.codes) for w in words] == \
+            [lift_word(monoid, w).codes for w in words]
+
+
+def test_power_split_and_power_order_tails_match_the_constructor():
+    # the differences w - w^(p) of rbafp4's family over an elementary
+    # p-group, and the power-order family, over it and over a unitarized
+    # alphabet, whose tails stay over their own alphabet
+    F3 = Ring.prime_field(3)
+    lam = F3.of(2)
+    for semigroup in (ElementaryPGroup(3, 2),
+                      verify_module._unitarized_free(["x"])):
+        sets = mx.standard_generating_sets(semigroup, 3, 3, 3)
+        for build in (verify_module._power_split_family,
+                      verify_module._power_order_family):
+            gens = build(F3, lam, semigroup, 3, sets)
+            tails = verify_module._tails(F3, lam, semigroup, gens)
+            assert [t.image for t in tails] == reference_tails(
+                F3, lam, semigroup, gens)
+            if isinstance(semigroup, ElementaryPGroup) \
+                    and build is verify_module._power_split_family:
+                assert any(len(t.image.code_terms) == 2 for t in tails)
+
+
+def test_nested_padding_matches_the_word_padding(monkeypatch):
+    made = record_embeddings(monkeypatch)
+    chain = [FreeAbelian(["x", "y", "z"][:k]) for k in (1, 2, 3)]
+    assert verify_nested_summand(chain, 1, 3).passed
+    assert [(s, t) for s, t, _ in made] == list(zip(chain, chain[1:]))
+    for small, big, embed in made:
+        words = mx.enumerate_words(small, 4)
+        assert [embed(w.codes) for w in words] == \
+            [pad_word(w, big).codes for w in words]
