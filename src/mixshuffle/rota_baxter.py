@@ -45,7 +45,7 @@ class RBElement(Combination):
 
     @staticmethod
     def code_key(key, codec=None):
-        """(head code, tail code tuple), both over codec if given."""
+        """(head code, tail code string), both over codec if given."""
         head, tail = key
         if codec is not None and letter_codec(head.semigroup) is not codec:
             raise ValueError("head %r is not over this alphabet" % (head,))
@@ -99,7 +99,7 @@ class RBElement(Combination):
     def operator_p(self):
         """Shift each head into its tail, identity becomes the head."""
         e = self.semigroup.identity.code
-        return self._like({(e, (h,) + t): c
+        return self._like({(e, chr(h) + t): c
                            for (h, t), c in self.code_terms.items()}, self.den)
 
 

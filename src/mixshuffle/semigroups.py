@@ -29,6 +29,7 @@ conditions that the structure theorems key on:
 import functools
 import itertools
 import json
+import sys
 
 from .rings import _is_prime
 
@@ -122,11 +123,12 @@ class LetterCodec:
     handed out in first-seen order.  The element, sort key and degree of
     each code are kept, and products and p-th powers of codes are cached
     in tables, so the product kernels never build, hash or multiply an
-    Element: they work on tuples of ints, which is also what a Word
-    holds.  The word layer's data is kept too, as tuples filled on first
-    use: the letter codes of each degree bound, ascending; the p-th power
-    preimages of each (code, p); the word pieces of each exact (length,
-    degree), which words.py builds.
+    Element: they work on code strings, chr(code) per letter as a Word
+    holds them, so a code is at most sys.maxunicode.  The word layer's
+    data is kept too, as tuples filled on first use: the letter codes of
+    each degree bound, ascending; the p-th power preimages of each (code,
+    p); the word pieces of each exact (length, degree), which words.py
+    builds.
     """
 
     __slots__ = ("semigroup", "codes", "keys", "elements", "sort_keys",
@@ -150,7 +152,11 @@ class LetterCodec:
         """The code of the letter with this Element.key."""
         c = self.codes.get(key)
         if c is None:
-            c = self.codes[key] = len(self.keys)
+            c = len(self.keys)
+            if c > sys.maxunicode:
+                raise ValueError("letter code %d is past sys.maxunicode: a "
+                                 "word holds each code as one character" % c)
+            self.codes[key] = c
             letter = Element(self.semigroup, key)
             letter._code = c
             self.keys.append(key)
@@ -160,23 +166,24 @@ class LetterCodec:
         return c
 
     def multiply(self, a, b):
-        """The code of the product of two letters, None for zero."""
+        """The product of two letters as characters, None for zero."""
         try:
             return self.products[a, b]
         except KeyError:
-            k = self.semigroup.multiply_keys(self.keys[a], self.keys[b])
-            c = None if k is None else self.code(k)
+            k = self.semigroup.multiply_keys(self.keys[ord(a)],
+                                             self.keys[ord(b)])
+            c = None if k is None else chr(self.code(k))
             self.products[a, b] = self.products[b, a] = c
             return c
 
     def merge(self, a, b):
-        """The product of two letters merged into one slot."""
+        """The product of two letters (characters) merged into one slot."""
         c = self.multiply(a, b)
         if c is None:
             raise ValueError(
                 "letters %r and %r do not multiply; only weight zero "
                 "works over a bare ordered set"
-                % (self.elements[a], self.elements[b]))
+                % (self.elements[ord(a)], self.elements[ord(b)]))
         return c
 
     def power(self, a, p):

@@ -19,13 +19,14 @@ word, merge both heads).  The oracle enumerates all pairs of
 order-preserving slot injections whose images cover the result word and
 is used only to cross-check the dynamic program.
 
-Inside the product layer letters are the small ints of their alphabet's
-LetterCodec, words are code tuples, and coefficients are plain integers:
+Inside the product layer letters are the characters chr(code) of their
+alphabet's LetterCodec, words are code strings, which hash once and take
+a letter in front by one concatenation, and coefficients are plain ints:
 the number of ways to reach a word, reduced mod the ring's modulus when
 it has one.  A word with k merged slots carries lambda^k, which depends
 on its length alone, so the weight and the input coefficients are
 applied once per result word.  Elements store their terms in the form
-shuffle_sum multiplies: integer numerators keyed by code tuples over one
+shuffle_sum multiplies: integer numerators keyed by code strings over one
 denominator, which is 1 except over Q.  So a product reads its operands
 and files its result without building a Word or a Fraction.  Words and
 ring values are built only when a caller reads the Word-keyed terms of
@@ -129,7 +130,7 @@ def _add_prefixed(acc, letter, src, mod):
     """Add the words of src, each with letter in front, into acc."""
     get = acc.get
     for tail, c in src.items():
-        w = (letter,) + tail
+        w = letter + tail
         s = get(w)
         if s is None:
             acc[w] = c
@@ -144,9 +145,9 @@ def _add_prefixed(acc, letter, src, mod):
 
 
 def _quasi_shuffle(u, v, codec, merge, mod, memo):
-    """Counts of the words in the product of two code tuples.
+    """Counts of the words in the product of two code strings.
 
-    Returns {code tuple: count}, counts reduced mod `mod` when it is not
+    Returns {code string: count}, counts reduced mod `mod` when it is not
     None and never zero.  The dynamic program runs over suffix positions
     (i, j): the product of u[i:] and v[j:] is u[i] in front of the
     product of u[i+1:] and v[j:], plus v[j] in front of the product of
@@ -179,17 +180,17 @@ def _quasi_shuffle(u, v, codec, merge, mod, memo):
             res = None if memo is None else memo.get(key)
             if res is None:
                 b = v[j]
-                res = {(a,) + t: c for t, c in below[j].items()}
+                res = {a + t: c for t, c in below[j].items()}
                 if b == a:
                     _add_prefixed(res, b, row[j + 1], mod)
                 else:
-                    res.update({(b,) + t: c for t, c in row[j + 1].items()})
+                    res.update({b + t: c for t, c in row[j + 1].items()})
                 if merge:
                     ab = codec.merge(a, b)
                     if ab == a or ab == b:
                         _add_prefixed(res, ab, below[j + 1], mod)
                     else:
-                        res.update({(ab,) + t: c
+                        res.update({ab + t: c
                                     for t, c in below[j + 1].items()})
                 if memo is not None:
                     memo[key] = res
@@ -200,7 +201,7 @@ def _quasi_shuffle(u, v, codec, merge, mod, memo):
 
 
 def _multi_shuffle(factors, codec, merge, mod, memo):
-    """Counts of the words in the joint product of k code tuples.
+    """Counts of the words in the joint product of k code strings.
 
     States are sorted multisets of (factor, consumed length).  Factors at
     the same word and position are interchangeable, so a move that takes
@@ -212,7 +213,7 @@ def _multi_shuffle(factors, codec, merge, mod, memo):
     products do not recurse.
     """
     root = tuple(sorted((f, 0) for f in factors if f))
-    memo.setdefault((), {(): 1})
+    memo.setdefault((), {"": 1})
     pending = {}
     stack = [root]
     while stack:
@@ -239,7 +240,7 @@ def _multi_shuffle(factors, codec, merge, mod, memo):
                 _add_prefixed(acc, letter, sub, mod)
             else:
                 firsts.add(letter)
-                acc.update({(letter,) + t: c for t, c in sub.items()})
+                acc.update({letter + t: c for t, c in sub.items()})
         memo[st] = acc
     return memo[root]
 
@@ -300,8 +301,8 @@ def shuffle_sum(ring, lam, codec, memo, left, right, heads=False):
     """Sum of x*y times the product of the keys k and l, over (k, x) in
     left and (l, y) in right, with x, y integers.
 
-    A key is a code tuple u, or with heads a pair (h, u) of a letter code
-    and a code tuple, and the product of (h, u) and (g, v) files each word
+    A key is a code string u, or with heads a pair (h, u) of a letter code
+    and a code string, and the product of (h, u) and (g, v) files each word
     t of the product of u and v under (h*g, t).  Returns ({key: integer},
     den): the sum is each integer over den, a power of lam's denominator.
     """
@@ -321,9 +322,10 @@ def shuffle_sum(ring, lam, codec, memo, left, right, heads=False):
             w = _weights(ring, x * y, lam, top,
                          min(len(u), len(v)) if merge else 0)
             if heads:
-                head = codec.multiply(h, g)
+                head = codec.multiply(chr(h), chr(g))
                 if head is None:
                     raise ValueError("zero product of heads")
+                head = ord(head)
                 terms = {(head, t): w[size - len(t)] * c
                          for t, c in counts.items()}
             else:
@@ -348,8 +350,8 @@ class Combination:
     subclasses never combine.
 
     Terms are held in the form shuffle_sum multiplies: code_terms maps
-    each code key (a word's code tuple, or a head and tail's pair (head
-    code, tail code tuple)) to a nonzero integer, and the coefficient is
+    each code key (a word's code string, or a head and tail's pair (head
+    code, tail code string)) to a nonzero integer, and the coefficient is
     that integer over den.  den is 1 except over Q, where it is the lcm
     of the coefficients' denominators, so no factor is common to den and
     every numerator; over F_p and Z/p^N the integers are the canonical
@@ -554,7 +556,7 @@ class TensorPoly(Combination):
 
     @staticmethod
     def code_key(word, codec=None):
-        """The code tuple of a word, which must be over codec if given."""
+        """The code string of a word, which must be over codec if given."""
         if codec is not None and word.codec is not codec and word.codes:
             raise ValueError("word %r is not over this alphabet" % (word,))
         return word.codes

@@ -60,7 +60,7 @@ from .semigroups import Element, Unitarized, FreeAbelian, ProductSemigroup, \
     ElementaryPGroup, FiniteTableSemigroup, cyclic_group_table, letter_codec
 from .words import empty_word, enumerate_words, enumerate_lyndon, \
     operator_T, standard_generating_sets, _tel2_orbit, componentwise_p_power
-from .shuffle import TensorPoly, word_poly, graded_basis, shuffle_sum, \
+from .shuffle import TensorPoly, graded_basis, shuffle_sum, \
     eettl_representative, length_rescale, with_weight
 from .rota_baxter import RBElement, alphabet_generators
 
@@ -434,8 +434,8 @@ def _modular_field(ring):
 
 
 def _ranks(rows):
-    """Each row's code key (a word's code tuple, or a pair of a head code
-    and a tail code tuple) mapped to its place in the given order."""
+    """Each row's code key (a word's code string, or a pair of a head code
+    and a tail code string) mapped to its place in the given order."""
     return {r: i for i, r in enumerate(rows)}
 
 
@@ -656,16 +656,30 @@ def _has_degree_zero_letter(semigroup):
 
 
 def _tensor_rows(semigroup, degree_bound, length_bound):
-    """The code tuples of the words of each degree."""
+    """The code strings of the words of each degree."""
     return {n: [w.codes for w in graded_basis(semigroup, n, length_bound)]
             for n in range(degree_bound + 1)}
 
 
+class _Letters(dict):
+    """A str.translate table whose entry for a code is fill(code), set
+    on first use."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, c):
+        out = self[c] = self.fill(c)
+        return out
+
+
 def _embedding(source, target, key):
-    """The map of code tuples over source to code tuples over target that
-    sends the letter with Element.key k to the letter with key key(k)."""
+    """The map of code strings over source to code strings over target
+    that sends the letter with Element.key k to the letter with key
+    key(k), by one translation table."""
     keys, code = letter_codec(source).keys, letter_codec(target).code
-    return lambda codes: tuple([code(key(keys[c])) for c in codes])
+    table = _Letters(lambda c: code(key(keys[c])))
+    return lambda codes: codes.translate(table)
 
 
 def _relation_length_cap(p):
@@ -765,8 +779,8 @@ def _rescaling_check(ring, lam, semigroup, degree_bound, length_bound):
     ok = True
     for a in words:
         for b in words:
-            xa = word_poly(ring, clam, semigroup, a.letters)
-            xb = word_poly(ring, clam, semigroup, b.letters)
+            xa = TensorPoly.from_word(ring, clam, semigroup, a)
+            xb = TensorPoly.from_word(ring, clam, semigroup, b)
             left = with_weight(length_rescale(xa * xb, c), lam)
             right = with_weight(length_rescale(xa, c), lam) \
                 * with_weight(length_rescale(xb, c), lam)
@@ -843,12 +857,12 @@ def _unit_power_family_check(semigroup, family, p, degree_bound,
                              length_bound):
     """Over a unitarized free monoid the fixed tensor Lyndon words are
     exactly the tensor powers of the bare identity letter."""
-    ident = semigroup.identity.code
+    ident = chr(semigroup.identity.code)
     limit = degree_bound if length_bound is None else length_bound
     expected = []
     q = 1
     while q <= limit:
-        expected.append((ident,) * q)
+        expected.append(ident * q)
         q *= p
     ok = sorted(w.codes for w in family) == sorted(expected)
     return CheckRecord("fixed tensor Lyndon words are identity powers", ok,
@@ -1076,7 +1090,7 @@ def compute_cokernel_basis(semigroup, weight, degree):
             chosen_words.append(rows[j])
     if len(chosen_words) == coker_rank:
         method = "greedy-words"
-        lifted = [word_poly(ring, lam, semigroup, w.letters)
+        lifted = [TensorPoly.from_word(ring, lam, semigroup, w)
                   for w in chosen_words]
         names = [w.display(True) for w in chosen_words]
     else:
@@ -1218,7 +1232,7 @@ def _unitarized_free(alphabet):
 
 
 def _inner_lift(monoid, semigroup):
-    """Code tuples over semigroup into the monoid: x -> ("e", x) when
+    """Code strings over semigroup into the monoid: x -> ("e", x) when
     semigroup is the monoid's inner alphabet, else unchanged."""
     if semigroup == monoid:
         return lambda codes: codes
@@ -1343,7 +1357,7 @@ def _verify_rbaz(alphabet, weight, degree_bound, length_bound):
     buckets = algebra.monomials_by_degree(degree_bound)
     rows_by_degree = _rb_rows(monoid, free, degree_bound)
     cols_by_degree = {}
-    ident = monoid.identity.code
+    ident = chr(monoid.identity.code)
     for n in range(degree_bound + 1):
         cols = list(buckets.get(n, []))
         for head in monoid.elements_up_to(n):

@@ -1,13 +1,13 @@
 """Tensor words over an ordered semigroup.
 
-A word is a finite tuple of letters, held as the tuple of their small-int
-codes under the one LetterCodec of its alphabet.  Words compare and hash
-on those codes (equal alphabets share a codec, and the empty word is the
-same over every alphabet); letters, sort keys and degree are read off
-the codec's tables on first use and kept.  Two orders matter: plain
-lexicographic order (a proper prefix is smaller), which defines Lyndon
-words, and pro-length order (shorter first, then letterwise), which is
-the order leading terms are read in.
+A word is a finite tuple of letters, held as its code string, one
+character chr(code) per letter under the one LetterCodec of its
+alphabet.  Words compare and hash on that string (equal alphabets share
+a codec, and the empty word is the same over every alphabet); letters,
+sort keys and degree are read off the codec's tables on first use and
+kept.  Two orders matter: plain lexicographic order (a proper prefix is
+smaller), which defines Lyndon words, and pro-length order (shorter
+first, then letterwise), which is the order leading terms are read in.
 
 Word listings read pools on the codec: the words of each exact length
 and degree, built once each from those one letter shorter.  Lyndon words
@@ -32,7 +32,7 @@ _NO_LETTERS = LetterCodec(None)
 
 
 class Word:
-    """A word held as the tuple of its letter codes and its alphabet's
+    """A word held as the code string of its letters and its alphabet's
     codec; equality and hashing read the codes, never the letters.
 
     Letters, sort keys, the pro-length key and the degree are derived
@@ -48,7 +48,7 @@ class Word:
         if len(codecs) > 1:
             raise ValueError("letters from different alphabets")
         self.codec, = codecs
-        self.codes = tuple([l.code for l in letters])
+        self.codes = "".join([chr(l.code) for l in letters])
         self._letters = self._order = self._degree = None
 
     @property
@@ -56,7 +56,7 @@ class Word:
         letters = self._letters
         if letters is None:
             letters = self._letters = tuple(
-                map(self.codec.elements.__getitem__, self.codes))
+                map(self.codec.elements.__getitem__, map(ord, self.codes)))
         return letters
 
     @property
@@ -64,8 +64,8 @@ class Word:
         order = self._order
         if order is None:
             codes = self.codes
-            order = self._order = (
-                len(codes), tuple(map(self.codec.sort_keys.__getitem__, codes)))
+            order = self._order = (len(codes), tuple(
+                map(self.codec.sort_keys.__getitem__, map(ord, codes))))
         return order
 
     @property
@@ -77,7 +77,7 @@ class Word:
         degree = self._degree
         if degree is None:
             degree = self._degree = sum(
-                map(self.codec.degrees.__getitem__, self.codes))
+                map(self.codec.degrees.__getitem__, map(ord, self.codes)))
         return degree
 
     @property
@@ -118,7 +118,7 @@ _new = object.__new__
 
 
 def _from_codes(codec, codes):
-    """The word with these letter codes: one object, no per-letter work."""
+    """The word with this code string: one object, no per-letter work."""
     w = _new(Word)
     w.codes = codes
     w.codec = codec
@@ -148,8 +148,12 @@ def _pretty_name(name):
     return "".join(out)
 
 
+# the empty word, the same over every alphabet
+_EMPTY = _from_codes(_NO_LETTERS, "")
+
+
 def empty_word():
-    return Word(())
+    return _EMPTY
 
 
 def word_compare(u, v, order="lex"):
@@ -199,8 +203,8 @@ def _word_pieces(codec, max_degree, max_length):
             piece = pieces.get((n, e))
             if piece is None:
                 piece = pieces[n, e] = tuple([
-                    _from_codes(codec, (c,) + w.codes)
-                    for c, d in zip(window, degrees) if d <= e
+                    _from_codes(codec, c + w.codes)
+                    for c, d in zip(map(chr, window), degrees) if d <= e
                     for w in shorter.get(e - d, ())])
             if piece:
                 layer[e] = piece
@@ -222,7 +226,7 @@ def enumerate_words(semigroup, max_degree, max_length=None):
         run = [w for piece in layer.values() for w in piece]
         if len(layer) > 1:
             # a stable sort of lex-ordered runs merges them
-            run.sort(key=lambda w: [sort_keys[c] for c in w.codes])
+            run.sort(key=lambda w: [sort_keys[ord(c)] for c in w.codes])
         out += run
     return out
 
@@ -240,6 +244,7 @@ def enumerate_lyndon(semigroup, max_degree, max_length=None):
     window = codec.window(max_degree)
     max_length = _length_bound(codec, max_degree, max_length)
     degrees = [codec.degrees[c] for c in window]
+    letters = "".join(map(chr, window))
     k = len(window)
     # frames[i] is (letter rank, period, degree left) of the walk's prefix
     # of length i; r is the next rank to try after the last frame
@@ -258,7 +263,7 @@ def enumerate_lyndon(semigroup, max_degree, max_length=None):
             period = t + 1
         frames.append((r, period, left - degrees[r]))
         if period == t + 1:
-            out.append(tuple([window[f[0]] for f in frames[1:]]))
+            out.append("".join([letters[f[0]] for f in frames[1:]]))
         r = frames[t + 2 - period][0]
     out.sort(key=len)
     return [_from_codes(codec, codes) for codes in out]
@@ -293,16 +298,16 @@ def cfl_factorize(w):
 def componentwise_p_power(w, p):
     """The letterwise power: each letter raised to the p-th inside S."""
     codec = w.codec
-    powered = tuple([codec.power(c, p) for c in w.codes])
+    powered = [codec.power(ord(c), p) for c in w.codes]
     if None in powered:
         raise ValueError("letterwise power undefined: zero product")
-    return _from_codes(codec, powered)
+    return _from_codes(codec, "".join(map(chr, powered)))
 
 
 def is_p_power_image(w, p):
     """Is w == u^(p) letterwise for some word u over the same alphabet?"""
     roots = w.codec.roots
-    return all(roots(c, p) for c in w.codes)
+    return all(roots(ord(c), p) for c in w.codes)
 
 
 def operator_T(words, p, max_degree, max_length=None):

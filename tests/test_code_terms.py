@@ -9,6 +9,11 @@ front of shuffle_oracle of the tails.  Every result must also come back
 unchanged when rebuilt from its Word-keyed terms, and its JSON and text
 are pinned by one sha256 digest per family, so a change of term storage
 cannot change what a caller reads.
+
+A one-letter free alphabet with a window of 400 letter codes checks the
+same oracles, the Rota-Baxter identity and the map of code strings
+between alphabets on words whose code strings mix characters below 256
+with wider ones.
 """
 
 import hashlib
@@ -17,6 +22,7 @@ import random
 from fractions import Fraction
 
 from mixshuffle import (
+    Element,
     FreeAbelian,
     RBElement,
     Ring,
@@ -27,7 +33,9 @@ from mixshuffle import (
     semigroup_from_preset,
     shuffle_oracle,
 )
+from mixshuffle import verify as verify_module
 from mixshuffle.rota_baxter import check_rb_identity
+from mixshuffle.semigroups import letter_codec
 
 RINGS = (Ring.rationals(), Ring.integers(), Ring.prime_field(3),
          Ring.truncated_padic(3, 6))
@@ -156,3 +164,90 @@ def test_rota_baxter_identity_products_and_pinned_text():
                 for r in results[-5:]:
                     assert_rebuilds(r)
     assert pinned(results) == DIGESTS["rota_baxter"]
+
+
+# wide alphabets: past 256 letter codes a code string mixes characters
+# below 256 with wider ones, which CPython stores at another width
+
+
+WIDE = FreeAbelian(["x"])
+WIDE_RINGS = (Ring.rationals(), Ring.truncated_padic(3, 4))
+
+
+def wide_letters(semigroup):
+    """The letters of a window of 400 codes, split at code 256."""
+    codec = letter_codec(semigroup)
+    window = codec.window(400)
+    assert len(codec.keys) > 256
+    narrow = [codec.elements[c] for c in window if c < 256]
+    wide = [codec.elements[c] for c in window if c >= 256]
+    return narrow, wide
+
+
+def draw_wide_word(rng, narrow, wide, most, least=1):
+    """A word with a letter of code 256 or more and, past length one, one
+    below 256, in a random order."""
+    letters = [rng.choice(wide)] + [
+        rng.choice(narrow + wide) for _ in range(rng.randint(least, most) - 1)]
+    if len(letters) > 1:
+        letters[1] = rng.choice(narrow)
+    rng.shuffle(letters)
+    return Word(letters)
+
+
+def assert_mixed(words):
+    codes = "".join(w.codes for w in words)
+    assert min(map(ord, codes)) < 256 <= max(map(ord, codes))
+
+
+def test_wide_alphabet_products_and_powers_match_oracles():
+    narrow, wide = wide_letters(WIDE)
+    for ring in WIDE_RINGS:
+        for lam in (0, 1, 2):
+            rng = random.Random("wide/%r/%s" % (ring, lam))
+            for _ in range(4):
+                words = [draw_wide_word(rng, narrow, wide, 3)
+                         for _ in range(3)]
+                assert_mixed(words)
+                a = TensorPoly(ring, lam, WIDE, {words[0]: 1, words[1]: -1})
+                b = TensorPoly.from_word(ring, lam, WIDE, words[2], 2)
+                r = a * b
+                assert r == shuffle_oracle(a, b)
+                assert_rebuilds(r)
+                poly = TensorPoly(ring, lam, WIDE, {
+                    draw_wide_word(rng, narrow, wide, 2): 1,
+                    draw_wide_word(rng, narrow, wide, 2): 2})
+                assert poly.shuffle_power(3) == poly * poly * poly
+
+
+def test_wide_alphabet_rota_baxter_identity():
+    monoid = Unitarized(WIDE)
+    narrow, wide = wide_letters(monoid)
+    for ring in WIDE_RINGS:
+        for lam in (0, 1, 2):
+            rng = random.Random("wide-rb/%r/%s" % (ring, lam))
+            for _ in range(2):
+                x, y = (RBElement(ring, lam, monoid, {
+                    (rng.choice(wide),
+                     draw_wide_word(rng, narrow, wide, 2, 2)):
+                    rng.choice(COEFFS) for _ in range(2)}) for _ in range(2))
+                assert check_rb_identity(x, y) == (True, None)
+                assert x * y == rb_oracle(x, y)
+                px = x.operator_p()
+                assert_mixed([t for _, t in px.terms])
+                assert px * y == rb_oracle(px, y)
+
+
+def test_wide_alphabet_embedding_round_trip():
+    monoid = Unitarized(WIDE)
+    narrow, wide = wide_letters(WIDE)
+    there = verify_module._embedding(WIDE, monoid, lambda k: ("e", k))
+    back = verify_module._embedding(monoid, WIDE, lambda k: k[1])
+    rng = random.Random("wide-embedding")
+    words = [draw_wide_word(rng, narrow, wide, 3) for _ in range(20)]
+    assert_mixed(words)
+    for w in words:
+        lifted = Word(tuple(Element(monoid, ("e", l.key))
+                            for l in w.letters))
+        assert there(w.codes) == lifted.codes
+        assert back(there(w.codes)) == w.codes

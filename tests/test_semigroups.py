@@ -1,6 +1,7 @@
 """Ordered semigroups: element algebra, classification, presets, JSON."""
 
 import json
+import sys
 
 import pytest
 
@@ -17,6 +18,7 @@ from mixshuffle import (
     min_semilattice,
     semigroup_from_preset,
 )
+from mixshuffle.semigroups import LetterCodec
 
 
 def test_free_abelian_element_algebra():
@@ -175,6 +177,19 @@ def test_p_power_preimages():
     h = next(h for h in other.elements_up_to((x ** 2).code + 1)
              if h.code == (x ** 2).code)
     assert f.p_power_preimages(h, 2) == []
+
+
+def test_codes_stop_at_the_last_character():
+    # a word holds one character chr(code) per letter, so the codec hands
+    # out codes up to sys.maxunicode and refuses the next one
+    codec = LetterCodec(FreeAbelian(["x"]))
+    codec.keys = [None] * sys.maxunicode
+    assert chr(codec.code((1,))) == chr(sys.maxunicode)
+    assert codec.code((1,)) == sys.maxunicode
+    with pytest.raises(ValueError, match="past sys.maxunicode"):
+        codec.code((2,))
+    assert (2,) not in codec.codes
+    assert len(codec.keys) == sys.maxunicode + 1
 
 
 # the order: each alphabet defines it once, so these lists are written out
