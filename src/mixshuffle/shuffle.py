@@ -25,7 +25,9 @@ a letter in front by one concatenation, and coefficients are plain ints:
 the number of ways to reach a word, reduced mod the ring's modulus when
 it has one.  A word with k merged slots carries lambda^k, which depends
 on its length alone, so the weight and the input coefficients are
-applied once per result word.  Elements store their terms in the form
+applied once per result word, the weight from one table of its powers
+per call over a common denominator, which the element's reduction
+(_like) brings to lowest terms.  Elements store their terms in the form
 shuffle_sum multiplies: integer numerators keyed by code strings over one
 denominator, which is 1 except over Q.  So a product reads its operands
 and files its result without building a Word or a Fraction.  Words and
@@ -154,19 +156,15 @@ def _quasi_shuffle(u, v, codec, merge, mod, memo):
     u[i:] and v[j+1:], plus (when merging) the letter u[i]v[j] in front
     of the product of u[i+1:] and v[j+1:].  With a memo every cell is
     stored in it under its pair of suffixes, so later products share it;
-    without one (None) about one row of cells is kept.  A word
-    with k merged slots carries the weight to the k-th power, which
-    depends on its length only and is applied by the caller, so counts
-    are the same at every nonzero weight.
+    without one (None) about one row of cells is kept.  The caller reads
+    a product already in the memo.  A word with k merged slots carries
+    the weight to the k-th power, which depends on its length only and is
+    applied by the caller, so counts are the same at every nonzero weight.
     """
     if not u:
         return {v: 1}
     if not v:
         return {u: 1}
-    if memo is not None:
-        hit = memo.get((u, v))
-        if hit is not None:
-            return hit
     m, n = len(u), len(v)
     us = [u[i:] for i in range(m)]
     vs = [v[j:] for j in range(n + 1)]
@@ -285,16 +283,12 @@ def _moves(state, codec, merge, mod):
     return out
 
 
-def _weights(ring, scale, lam, top, most):
-    """scale * lam^k * den(lam)^(top-k) as integers for k = 0..most, so
-    that dividing by den(lam)^top gives scale * lam^k."""
+def _lam_powers(lam, top, mod):
+    """num^k * den^(top-k) of lam = num/den for k = 0..top, reduced mod
+    `mod` unless it is None: the k-th over den^top is lam^k."""
     num, den = lam.numerator, lam.denominator
-    mod = ring.modulus
-    out = []
-    for k in range(most + 1):
-        w = scale * num ** k * den ** (top - k)
-        out.append(w if mod is None else w % mod)
-    return out
+    out = [num ** k * den ** (top - k) for k in range(top + 1)]
+    return out if mod is None else [w % mod for w in out]
 
 
 def shuffle_sum(ring, lam, codec, memo, left, right, heads=False):
@@ -304,37 +298,41 @@ def shuffle_sum(ring, lam, codec, memo, left, right, heads=False):
     A key is a code string u, or with heads a pair (h, u) of a letter code
     and a code string, and the product of (h, u) and (g, v) files each word
     t of the product of u and v under (h*g, t).  Returns ({key: integer},
-    den): the sum is each integer over den, a power of lam's denominator.
+    den): the sum is each integer over den, a common power of lam's
+    denominator that the caller reduces (Combination._like), with the
+    weights read from one table per call.
     """
     if not left or not right:
         return {}, 1
     merge = not ring.is_zero(lam)
     mod = ring.modulus
-    top = min(max(len(k[1] if heads else k) for k, _ in side)
-              for side in (left, right)) if merge else 0
+    # a pair merges at most as many slots as its right word has letters
+    top = max(len(l[1] if heads else l) for l, _ in right) if merge else 0
+    weights = _lam_powers(lam, top, mod)
     acc = {}
     for k, x in left:
         h, u = k if heads else (None, k)
         for l, y in right:
             g, v = l if heads else (None, l)
-            counts = _quasi_shuffle(u, v, codec, merge, mod, memo)
+            counts = None if memo is None else memo.get((u, v))
+            if counts is None:
+                counts = _quasi_shuffle(u, v, codec, merge, mod, memo)
             size = len(u) + len(v)
-            w = _weights(ring, x * y, lam, top,
-                         min(len(u), len(v)) if merge else 0)
+            xy = x * y
             if heads:
                 head = codec.multiply(chr(h), chr(g))
                 if head is None:
                     raise ValueError("zero product of heads")
                 head = ord(head)
-                terms = {(head, t): w[size - len(t)] * c
-                         for t, c in counts.items()}
-            else:
-                terms = {t: w[size - len(t)] * c for t, c in counts.items()}
             if acc:
-                get = acc.get
-                acc.update({t: get(t, 0) + c for t, c in terms.items()})
+                for t, c in counts.items():
+                    key = (head, t) if heads else t
+                    acc[key] = get(key, 0) + xy * weights[size - len(t)] * c
             else:
-                acc = terms
+                acc = {(head, t) if heads else t:
+                       xy * weights[size - len(t)] * c
+                       for t, c in counts.items()}
+                get = acc.get
     return acc, lam.denominator ** top
 
 
@@ -618,6 +616,7 @@ class TensorPoly(Combination):
         merge = not R.is_zero(self.lam)
         mod = R.modulus
         top = k * max(map(len, self.code_terms)) if merge else 0
+        weights = _lam_powers(self.lam, top, mod)
         acc = {}
         memo = {}
         for alpha in _compositions(k, len(self.code_terms)):
@@ -630,11 +629,10 @@ class TensorPoly(Combination):
             if mod is not None and coeff % mod == 0:
                 continue
             size = sum(map(len, factors))
-            w = _weights(R, coeff, self.lam, top, size if merge else 0)
             get = acc.get
             for t, c in _multi_shuffle(factors, codec, merge, mod,
                                        memo).items():
-                acc[t] = get(t, 0) + w[size - len(t)] * c
+                acc[t] = get(t, 0) + coeff * weights[size - len(t)] * c
         return self._like(acc, self.den ** k * self.lam.denominator ** top)
 
 
@@ -674,10 +672,10 @@ def length_rescale(x, c):
     weight lambda with the product at weight c*lambda.
     """
     c = x.ring.of(c)
-    num, den = c.numerator, c.denominator
     top = max(map(len, x.code_terms), default=0)
-    return x._like({t: v * num ** len(t) * den ** (top - len(t))
-                    for t, v in x.code_terms.items()}, x.den * den ** top)
+    powers = _lam_powers(c, top, None)
+    return x._like({t: v * powers[len(t)] for t, v in x.code_terms.items()},
+                   x.den * c.denominator ** top)
 
 
 def with_weight(x, lam):

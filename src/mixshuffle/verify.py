@@ -296,7 +296,12 @@ class PresentedAlgebra:
         self._buckets = {}
 
     def multiply(self, a, b):
-        """The product of two elements over this algebra, on its memo."""
+        """The product of two elements over this algebra, on its memo; with
+        the algebra's own unit, the other operand itself."""
+        if a is self.unit:
+            return b
+        if b is self.unit:
+            return a
         return a._times(b, self._memo)
 
     def power_of(self, index, exponent):
@@ -1063,8 +1068,13 @@ def compute_cokernel_basis(semigroup, weight, degree):
     weight = Fraction(weight)
     _require(weight.denominator == 1, "integral checks need integer weight")
     lam = int(weight)
+    return _cokernel_basis(semigroup, lam, degree,
+                           *_decomposables(semigroup, lam, degree))
+
+
+def _cokernel_basis(semigroup, lam, degree, rows, columns):
+    """compute_cokernel_basis on the degree's decomposables map, given."""
     ring = Ring.integers()
-    rows, columns = _decomposables(semigroup, lam, degree)
     m = len(rows)
     # the entries are canonical ints already: no per-entry coercion
     mu = Matrix._raw(ring, [[col.get(i, 0) for col in columns]
@@ -1200,14 +1210,16 @@ def verify_nested_summand(semigroups, weight, degree_bound):
     report = VerificationReport("intfr-nested", ring, weight, semigroups[-1],
                                 {"degree": degree_bound,
                                  "chain": len(semigroups)})
-    # lifted bases of every alphabet but the last, per degree
-    bases = [[compute_cokernel_basis(s, lam, n)[1]
-              for n in range(1, degree_bound + 1)] for s in semigroups[:-1]]
+    # every alphabet's map per degree, once; bases of all but the last
+    maps = [[_decomposables(s, lam, n) for n in range(1, degree_bound + 1)]
+            for s in semigroups]
+    bases = [[_cokernel_basis(s, lam, n, *m)[1] for n, m in enumerate(ms, 1)]
+             for s, ms in zip(semigroups[:-1], maps)]
     for step, (small, big) in enumerate(zip(semigroups, semigroups[1:])):
         pad = _embedding(small, big, lambda key, n=len(big.generators):
                          key + (0,) * (n - len(key)))
         for n in range(1, degree_bound + 1):
-            rows, columns = _decomposables(big, lam, n)
+            rows, columns = maps[step + 1][n - 1]
             index = {w.codes: i for i, w in enumerate(rows)}
             lifts = [{index[pad(t)]: c for t, c in poly.code_terms.items()}
                      for poly in bases[step][n - 1]]

@@ -10,6 +10,11 @@ unchanged when rebuilt from its Word-keyed terms, and its JSON and text
 are pinned by one sha256 digest per family, so a change of term storage
 cannot change what a caller reads.
 
+A stream of products on one warm memo, as a presented algebra multiplies,
+must equal the same products without a memo and their oracles, and each
+shuffle power the repeated products on that memo: over Q at weights 0,
+1, -1, 1/2 and 5/3, and over F_3 and Z/3^6 at weights 0, 1, -1 and 2.
+
 A one-letter free alphabet with a window of 400 letter codes checks the
 same oracles, the Rota-Baxter identity and the map of code strings
 between alphabets on words whose code strings mix characters below 256
@@ -251,3 +256,61 @@ def test_wide_alphabet_embedding_round_trip():
                             for l in w.letters))
         assert there(w.codes) == lifted.codes
         assert back(there(w.codes)) == w.codes
+
+
+# one warm memo across a stream of products, as PresentedAlgebra shares
+# one; each operand's longest word is longer than the other's in half
+# the pairs, so the weight table's size comes from either side
+
+STREAM_CELLS = tuple((Ring.rationals(), lam)
+                     for lam in (0, 1, -1, Fraction(1, 2), Fraction(5, 3))) \
+    + tuple((ring, lam)
+            for ring in (Ring.prime_field(3), Ring.truncated_padic(3, 6))
+            for lam in (0, 1, -1, 2))
+
+
+def draw_longest(rng, by_length, longest, most_terms):
+    """Up to most_terms words no longer than longest, one of them of that
+    length exactly."""
+    keys = [rng.choice(by_length[longest])]
+    for _ in range(rng.randint(1, most_terms) - 1):
+        keys.append(rng.choice(by_length[rng.randint(0, longest)]))
+    return keys
+
+
+def test_shared_memo_products_match_fresh_products_and_oracles():
+    sg = semigroup_from_preset("free:x,y")
+    by_length = {0: [Word(())]}
+    for w in enumerate_words(sg, 6, 3):
+        by_length.setdefault(w.length, []).append(w)
+    monoid = Unitarized(FreeAbelian(["x", "y"]))
+    heads = monoid.elements_up_to(1)
+    rb_tails = {0: [Word(())]}
+    for w in enumerate_words(monoid, 2, 3):
+        rb_tails.setdefault(w.length, []).append(w)
+    for ring, lam in STREAM_CELLS:
+        rng = random.Random("stream/%r/%s" % (ring, lam))
+        memo, rb_memo = {}, {}
+        for i in range(12):
+            lengths = (3, rng.randint(0, 2))
+            tail_lengths = (2, rng.randint(0, 1))
+            if i % 2:
+                lengths, tail_lengths = lengths[::-1], tail_lengths[::-1]
+            a, b = (TensorPoly(ring, lam, sg, {
+                w: rng.choice(COEFFS)
+                for w in draw_longest(rng, by_length, n, 4)})
+                for n in lengths)
+            r = a.mul_shared(b, memo)
+            assert r == a * b == shuffle_oracle(a, b), (ring, lam, i)
+            x, y = (RBElement(ring, lam, monoid, {
+                (rng.choice(heads), t): rng.choice(COEFFS)
+                for t in draw_longest(rng, rb_tails, n, 4)})
+                for n in tail_lengths)
+            r = x.mul_shared(y, rb_memo)
+            assert r == x * y == rb_oracle(x, y), (ring, lam, i)
+        poly = TensorPoly(ring, lam, sg, {
+            w: rng.choice(COEFFS) for w in draw_longest(rng, by_length, 2, 3)})
+        want = TensorPoly.unit(ring, lam, sg)
+        for p in range(1, 4):
+            want = want.mul_shared(poly, memo)
+            assert poly.shuffle_power(p) == want, (ring, lam, p)

@@ -656,15 +656,15 @@ def test_rbazp_cells_fail_on_lyndon_words(monkeypatch):
 
 def scale_one_letter_lifts(monkeypatch):
     """Double the lifted complement of the one-letter alphabet in degree 2."""
-    real = verify_module.compute_cokernel_basis
+    real = verify_module._cokernel_basis
 
-    def patched(semigroup, weight, n):
-        diag, lifted = real(semigroup, weight, n)
+    def patched(semigroup, lam, n, rows, columns):
+        diag, lifted = real(semigroup, lam, n, rows, columns)
         if len(semigroup.generators) == 1 and n == 2:
             lifted = [poly.scale(2) for poly in lifted]
         return diag, lifted
 
-    monkeypatch.setattr(verify_module, "compute_cokernel_basis", patched)
+    monkeypatch.setattr(verify_module, "_cokernel_basis", patched)
 
 
 def test_nested_cells_fail_on_a_scaled_complement(monkeypatch):
@@ -725,19 +725,35 @@ def test_nested_cells_match_the_transform_projection(monkeypatch, scaled):
 def test_only_the_complement_walk_factors_the_dense_transform(monkeypatch):
     # verify_zp reads divisors only, and the nested check needs lifted
     # bases for every alphabet but the last
-    real = verify_module.compute_cokernel_basis
+    real = verify_module._cokernel_basis
     calls = []
 
-    def recording(semigroup, weight, n):
+    def recording(semigroup, lam, n, rows, columns):
         calls.append((len(semigroup.generators), n))
-        return real(semigroup, weight, n)
+        return real(semigroup, lam, n, rows, columns)
 
-    monkeypatch.setattr(verify_module, "compute_cokernel_basis", recording)
+    monkeypatch.setattr(verify_module, "_cokernel_basis", recording)
     assert verify_zp(FreeAbelian(["x"]), 3, 2, 1, 5).passed
     assert calls == []
     chain = [FreeAbelian(["x", "y", "z"][:k]) for k in (1, 2, 3)]
     assert verify_nested_summand(chain, 1, 3).passed
     assert calls == [(k, n) for k in (1, 2) for n in (1, 2, 3)]
+
+
+def test_nested_check_builds_each_map_once(monkeypatch):
+    # three alphabets to degree 3 have 9 distinct maps; the middle
+    # alphabet's serve both its lifted bases and the step into it
+    real = verify_module._decomposables
+    calls = []
+
+    def recording(semigroup, lam, degree):
+        calls.append((len(semigroup.generators), degree))
+        return real(semigroup, lam, degree)
+
+    monkeypatch.setattr(verify_module, "_decomposables", recording)
+    chain = [FreeAbelian(["x", "y", "z"][:k]) for k in (1, 2, 3)]
+    assert verify_nested_summand(chain, 1, 3).passed
+    assert sorted(calls) == [(k, n) for k in (1, 2, 3) for n in (1, 2, 3)]
 
 
 def test_nested_cells_fail_on_an_unsaturated_map(monkeypatch):
@@ -1169,6 +1185,29 @@ def test_code_form_cells_match_the_word_key_oracle(ring, weights, seed):
             assert [cell_of(c) for c in verify_module._square_cells(
                 ring, codes, buckets)] == reference_square_cells(
                     ring, kind.key_order, rows, columns)
+
+
+@pytest.mark.parametrize("kind", ["shuffle", "rota-baxter"])
+def test_products_with_the_unit_are_the_other_operand(kind):
+    # every monomial's first factor multiplies the unit, which is skipped;
+    # the images are still the products rebuilt with *, term for term
+    Q = Ring.rationals()
+    rng = random.Random("unit/" + kind)
+    if kind == "shuffle":
+        alg, rows = draw_tensor_algebra(rng, Q, Fraction(5, 3))
+    else:
+        alg, rows = draw_rb_algebra(rng, Q, Fraction(1, 2), 3, 3)
+    for g in alg.generators:
+        assert alg.multiply(alg.unit, g.image) is g.image
+        assert alg.multiply(g.image, alg.unit) is g.image
+    bound = max(rows)
+    expected = reference_monomials(alg, bound)
+    for n, bucket in alg.monomials_by_degree(bound).items():
+        assert sorted(name for name, _ in bucket) == sorted(expected[n])
+        for name, image in bucket:
+            want = expected[n][name]
+            assert (image.code_terms, image.den) == \
+                (want.code_terms, want.den), (n, name)
 
 
 # Q cells: rank mod a 61-bit prime, exact elimination only when deficient
