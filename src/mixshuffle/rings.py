@@ -9,13 +9,14 @@ here ever touches floating point.
 The linear algebra is exact as well: fraction-free determinants, row
 reduction over the two fields, Smith normal form over the integers
 (elementary divisors alone by unit-pivot sparse elimination, with the
-dense form only on what is left), and linear solving over every ring
-including Z/p^N (where elimination has to respect p-valuations); over Z
-one Smith factorization serves any number of right-hand sides.
+dense form only on what is left), and linear solving over every ring;
+over Z and Z/p^N one Smith factorization over Z serves any number of
+right-hand sides by one gcd rule.
 """
 
 from fractions import Fraction
 import json
+import math
 
 Q = "Q"
 Z = "Z"
@@ -588,9 +589,8 @@ class Matrix:
     def solve(self, b):
         """One solution x of self * x = b, or None when none exists.
 
-        Over Q and Fp this is elimination; over Z it goes through the Smith
-        normal form (_ZSolver); over Z/p^N through the Smith normal form
-        of the matrix lifted to Z (_TruncatedSolver).
+        Over Q and Fp this is elimination; over Z and Z/p^N it reads the
+        Smith normal form of the matrix over Z (_ZSolver).
         """
         R = self.ring
         if len(b) != self.nrows:
@@ -598,9 +598,7 @@ class Matrix:
         b = [R.of(x) for x in b]
         if R.is_field:
             return self._solve_field(b)
-        if R.kind == Z:
-            return _ZSolver(self).solve(b)
-        return _TruncatedSolver(self).solve(b)
+        return _ZSolver(self).solve(b)
 
     def _solve_field(self, b):
         R = self.ring
@@ -616,59 +614,33 @@ class Matrix:
         return x
 
 class _ZSolver:
-    """Solve A*x = b over Z for many b from one Smith normal form of A."""
+    """Solve A*x = b over Z or Z/q, q = p^N, for many b from one Smith
+    normal form U*A*V = D of A over Z (entries mod q read as their
+    canonical ints).  With c = U*b, the diagonal equation d*y = c mod q
+    is solvable exactly when gcd(d, q) divides c, where q = 0 over Z and
+    d = 0 past the rank.
+    """
 
     def __init__(self, matrix):
-        self.D, self.U, self.V = matrix.smith_normal_form()
-        self.nrows = matrix.nrows
-        self.ncols = matrix.ncols
+        self.D, self.U, self.V = Matrix._raw(
+            Ring.integers(), matrix.rows, matrix.nrows,
+            matrix.ncols).smith_normal_form()
+        self.modulus = matrix.ring.modulus or 0
 
     def solve(self, b):
-        """One integer solution x, or None when none exists."""
-        c = self.U.apply_vector(b)
-        y = [0] * self.ncols
-        for i in range(self.nrows):
-            if i < len(self.D):
-                q, r = divmod(c[i], self.D[i])
-                if r != 0:
-                    return None
-                y[i] = q
-            elif c[i] != 0:
+        """One solution x in canonical form, or None when none exists."""
+        q = self.modulus
+        y = [0] * self.V.nrows
+        for i, c in enumerate(self.U.apply_vector(b)):
+            d = self.D[i] if i < len(self.D) else 0
+            g = math.gcd(d, q)
+            if c % g if g else c:
                 return None
-        return self.V.apply_vector(y)
-
-
-class _TruncatedSolver(_ZSolver):
-    """Solve A*x = b over Z/p^N for many b from one Smith normal form of A
-    lifted to Z.  A diagonal equation d*y = c is solvable exactly when
-    p^min(val(d), N) divides c."""
-
-    def __init__(self, matrix):
-        super().__init__(Matrix(Ring.integers(), matrix.rows,
-                                nrows=matrix.nrows, ncols=matrix.ncols))
-        self.ring = matrix.ring
-
-    def solve(self, b):
-        """One solution x over Z/p^N, or None when none exists."""
-        R = self.ring
-        p, N = R.p, R.precision
-        c = self.U.apply_vector([int(x) for x in b])
-        modulus = p ** N
-        y = [0] * self.ncols
-        for i in range(self.nrows):
-            ci = c[i] % modulus
-            if i < len(self.D):
-                d = self.D[i]
-                g = p ** min(p_adic_valuation(d, p) if d else N, N)
-                if ci % g != 0:
-                    return None
-                rest = modulus // g
-                if rest > 1:
-                    unit = (d // g) % rest
-                    y[i] = (ci // g) * pow(unit, -1, rest) % rest
-            elif ci != 0:
-                return None
-        return [R.of(xi) for xi in self.V.apply_vector(y)]
+            if d:
+                # d/g is a unit mod q/g; over Z, g = d
+                y[i] = c // g * pow(d // g, -1, q // g) if q else c // g
+        x = self.V.apply_vector(y)
+        return [xi % q for xi in x] if q else x
 
 
 def elementary_divisors(columns):

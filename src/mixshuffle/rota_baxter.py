@@ -86,7 +86,9 @@ class RBElement(Combination):
         return cls(ring, lam, semigroup, {(head, tail): ring.of(coeff)})
 
     def degree(self):
-        return max((h.degree + t.degree for h, t in self.terms), default=0)
+        degrees = self.codec.degrees
+        return max((degrees[h] + sum(degrees[ord(c)] for c in t)
+                    for h, t in self.code_terms), default=0)
 
     def power(self, k):
         if k < 0:

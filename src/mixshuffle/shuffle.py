@@ -601,7 +601,9 @@ class TensorPoly(Combination):
         return word, self.terms[word]
 
     def max_degree(self):
-        return max((w.degree for w in self.terms), default=0)
+        degrees = self.codec.degrees
+        return max((sum(degrees[ord(c)] for c in w) for w in self.code_terms),
+                   default=0)
 
     def shuffle_power(self, k):
         """k-th power, expanded multinomially into joint shuffles."""

@@ -278,9 +278,10 @@ def test_criterion_07_truncated_padic_lift():
         ok = ok and tel_counts == [1, 1, 2, 3, 6] == lyn_counts
         for lam in weights:
             r = verify_zp(f, p, 6, lam, 5)
-            ok = ok and r.passed
-            names = dict((c.name, c.ok) for c in r.checks)
-            ok = ok and names.get("verdicts stable at precision 8", False)
+            lifted = verify_zp(f, p, 8, lam, 5)
+            ok = ok and r.passed and lifted.passed
+            ok = ok and [(c.ok, c.rank) for c in r.cells] == [
+                (c.ok, c.rank) for c in lifted.cells]
     verdict(7, "monomial bases over Z/p^6, p in {2,3}, "
             "repetition family counts (1,1,2,3,6), stable at N+2", ok)
 

@@ -171,6 +171,32 @@ def test_rota_baxter_identity_products_and_pinned_text():
     assert pinned(results) == DIGESTS["rota_baxter"]
 
 
+def test_degrees_read_from_codes_match_word_views():
+    # TensorPoly.max_degree and RBElement.degree read degrees off the code
+    # keys through the codec; the Word-keyed view must agree
+    Q = Ring.rationals()
+    monoids = (semigroup_from_preset("free:x,y"),
+               semigroup_from_preset("mu:3,1"),
+               Unitarized(FreeAbelian(["x", "y"])))
+    for monoid in monoids:
+        rng = random.Random("degrees/%r" % (monoid,))
+        words = enumerate_words(monoid, 5, 3)
+        polys = [TensorPoly.zero(Q, 1, monoid)]
+        polys += [draw_poly(rng, Q, 1, monoid, words, 3) for _ in range(20)]
+        for poly in polys:
+            assert poly.max_degree() == max(
+                (w.degree for w in poly.terms), default=0), poly
+        if monoid.identity is None:
+            continue
+        letters = monoid.elements_up_to(2)
+        elements = [RBElement(Q, 1, monoid, {})]
+        elements += [draw_rb(rng, Q, 1, monoid, letters) for _ in range(20)]
+        elements += [x.operator_p() for x in elements[1:]]
+        for x in elements:
+            assert x.degree() == max(
+                (h.degree + t.degree for h, t in x.terms), default=0), x
+
+
 # wide alphabets: past 256 letter codes a code string mixes characters
 # below 256 with wider ones, which CPython stores at another width
 

@@ -355,6 +355,77 @@ def test_solve_over_truncated_padics():
     assert m.solve([3]) is None
 
 
+def test_solve_over_truncated_padics_needs_the_full_precision():
+    # x = 1 mod 9 from the first row leaves 3 in the second: solvable mod
+    # 3, not mod 9
+    assert Matrix(Ring.truncated_padic(3, 2), [[1], [3]]).solve([1, 0]) \
+        is None
+
+
+def _image_by_search(rows, q):
+    """Every A*x mod q, x running over (Z/q)^n: the sums of every
+    multiple of each column, one column at a time."""
+    image = {(0,) * len(rows)}
+    for col in zip(*rows):
+        image = {tuple((v + k * a) % q for v, a in zip(vec, col))
+                 for vec in image for k in range(q)}
+    return image
+
+
+SOLVE_RINGS = (Ring.truncated_padic(2, 2), Ring.truncated_padic(2, 3),
+               Ring.truncated_padic(3, 2), Ring.truncated_padic(3, 3),
+               Ring.integers())
+
+
+@pytest.mark.parametrize("ring", SOLVE_RINGS, ids=repr)
+def test_solve_matches_independent_solvability(ring):
+    # seeded 1-3 x 1-3 systems, zero and rank-deficient ones included:
+    # solvability against an exhaustive search over (Z/q)^n, or over Z
+    # against the elementary divisors with b appended; every solution
+    # returned must solve the system
+    rng = random.Random(1901)
+    q = ring.modulus
+    if q is None:
+        values = (0, 0, 0, 1, -1, 2, -3, 4, 6, -9)
+    else:
+        values = (0, 0, 0, 1, q - 1, ring.p, ring.p ** 2 % q, q - ring.p)
+    shapes = {"zero": 0, "rank-deficient": 0, "solvable": 0,
+              "unsolvable": 0}
+    for trial in range(150):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+        if trial % 6 == 0:
+            rows = [[0] * n for _ in range(m)]
+        elif trial % 6 == 1 and n >= 2:
+            f = rng.choice(values)
+            for row in rows:
+                row[-1] = f * row[0]
+        elif trial % 6 == 2 and m >= 2:
+            rows[-1] = [rng.choice(values) * a for a in rows[0]]
+        rows = [[ring.of(a) for a in row] for row in rows]
+        cols = [{i: row[j] for i, row in enumerate(rows)} for j in range(n)]
+        divisors = elementary_divisors(cols)
+        shapes["zero"] += not divisors
+        shapes["rank-deficient"] += len(divisors) < min(m, n)
+        matrix = Matrix(ring, rows)
+        xs = [rng.choice(values) for _ in range(n)]
+        targets = [[ring.of(sum(a * x for a, x in zip(row, xs)))
+                    for row in rows]]
+        targets += [[ring.of(rng.choice(values)) for _ in range(m)]
+                    for _ in range(3)]
+        image = None if q is None else _image_by_search(rows, q)
+        for b in targets:
+            want = tuple(b) in image if q else \
+                elementary_divisors(cols + [dict(enumerate(b))]) == divisors
+            x = matrix.solve(b)
+            assert (x is not None) == want, (ring, rows, b, x)
+            shapes["solvable" if want else "unsolvable"] += 1
+            if x is not None:
+                assert [ring.of(v) for v in x] == x, (ring, rows, b, x)
+                assert matrix.apply_vector(x) == b, (ring, rows, b, x)
+    assert min(shapes.values()) >= 20, shapes
+
+
 def test_matrix_json_round_trip():
     for R in (Ring.integers(), Ring.prime_field(3)):
         m = Matrix(R, [[1, 2], [3, 4]])

@@ -130,8 +130,11 @@ def test_zp_lift():
     assert dims_of(r) == [1, 1, 2, 4, 8, 16]
     names = dict(check_names(r))
     assert names["letterwise power congruence for x"]
-    assert names["verdicts stable at precision 8"]
     assert names["degree 3 indecomposables keep Lyndon rank at p"]
+    # the verdicts are stable at precision N+2
+    lifted = verify_zp(FreeAbelian(["x"]), 2, 8, 1, 5)
+    assert [(c.ok, c.rank) for c in lifted.cells] == [
+        (c.ok, c.rank) for c in r.cells]
 
 
 # integral verifiers
@@ -913,14 +916,25 @@ def test_failing_spanning_check_factors_once(monkeypatch):
         raise AssertionError("the failure path solved word by word")
 
     monkeypatch.setattr(Matrix, "solve", refuse)
+    factorizations = []
+
+    class CountingSolver(verify_module._ZSolver):
+        def __init__(self, matrix):
+            factorizations.append(matrix.ring)
+            super().__init__(matrix)
+
+    monkeypatch.setattr(verify_module, "_ZSolver", CountingSolver)
     f = FreeAbelian(["x"])
     x = f.parse("x")
-    for ring in (Ring.rationals(), Ring.truncated_padic(3, 4)):
+    rings = (Ring.rationals(), Ring.integers(), Ring.truncated_padic(3, 4))
+    for ring in rings:
         alg = PresentedAlgebra(ring, 1, f,
                                [word_symbol(ring, 1, f, Word((x ** 2,)))],
                                TensorPoly.unit(ring, 1, f))
         assert cell_of(check_spanning(alg, 2)) == (
             2, 2, 1, 1, False, "word x(x)x is not reachable"), ring
+    # one Smith factorization per failing integral cell, none over Q
+    assert factorizations == list(rings[1:])
 
 
 def test_monomial_names_are_distinct_in_each_degree():
