@@ -728,19 +728,18 @@ class SparseEliminator:
     """Incremental Gaussian elimination over a field, on sparse vectors.
 
     Vectors are dicts mapping keys to nonzero field values.  The leading
-    key of a vector is its largest one, by key_order when one is given
-    and by the keys' own order otherwise (integer keys compare fastest).
+    key of a vector is its largest one in the keys' own order (integer
+    keys compare fastest).
     Over a prime field entries may be any ints: they are reduced mod p as
     they come in, and the elimination reduces inline.  Supports rank
     queries, membership of a vector in the accumulated span, and optional
     tracking of the expressing combination.
     """
 
-    def __init__(self, ring, key_order=None, track=False):
+    def __init__(self, ring, track=False):
         if not ring.is_field:
             raise ValueError("SparseEliminator needs a field")
         self.ring = ring
-        self.key_order = key_order
         self.track = track
         self.pivots = {}
         self.combos = {}
@@ -756,10 +755,9 @@ class SparseEliminator:
 
     def _reduce(self, vec, combo=None):
         mod = self.ring.modulus
-        order = self.key_order
         pivots = self.pivots
         while vec:
-            lead = max(vec) if order is None else max(vec, key=order)
+            lead = max(vec)
             piv = pivots.get(lead)
             if piv is None:
                 return vec, lead, combo

@@ -2,10 +2,12 @@
 
 Elements are combinations of pairs (head, tail): a distinguished first
 slot holding a monoid element and a tensor word tail.  This is the
-construction A (x) Sh(A) with A the monoid algebra, so an element is a
-tensor polynomial with a head slot, and RBElement shares its coefficient
-algebra, term order, text and JSON with TensorPoly through the
-Combination core of the shuffle module.  The product
+construction A (x) Sh(A) with A the monoid algebra, so a pair is a word
+over the monoid whose first letter multiplies in the monoid and whose
+rest mixable-shuffles.  Its code key is that word's code string, the
+head's character in front of the tail's, and RBElement shares its
+coefficient algebra, term order, text and JSON with TensorPoly through
+the Combination core of the shuffle module.  The product
 multiplies heads in the monoid and tails by the mixable shuffle of the
 same weight; the operator P shifts the head into the tail and installs
 the monoid identity as the new head.  With that product and operator
@@ -25,8 +27,9 @@ from .words import Word, _from_codes, empty_word, _pretty_name
 class RBElement(Combination):
     """Combination of head-and-tail tensors over one coefficient ring.
 
-    A key is a pair (head, tail): a monoid element and a tensor word.
-    Terms are listed in ascending order, tail first, then head.
+    A key is a pair (head, tail): a monoid element and a tensor word, and
+    its code key the code string of the word head then tail.  Terms are
+    listed in ascending order, tail first, then head.
     """
 
     __slots__ = ()
@@ -45,16 +48,17 @@ class RBElement(Combination):
 
     @staticmethod
     def code_key(key, codec=None):
-        """(head code, tail code string), both over codec if given."""
+        """The head's character in front of the tail's code string, both
+        over codec if given."""
         head, tail = key
         if codec is not None and letter_codec(head.semigroup) is not codec:
             raise ValueError("head %r is not over this alphabet" % (head,))
-        return head.code, TensorPoly.code_key(tail, codec)
+        return chr(head.code) + TensorPoly.code_key(tail, codec)
 
     def _word_keys(self):
         codec = self.codec
-        return [(codec.elements[h], _from_codes(codec, t))
-                for h, t in self.code_terms]
+        return [(codec.elements[ord(k[0])], _from_codes(codec, k[1:]))
+                for k in self.code_terms]
 
     mul_shared = Combination.mul_shared
 
@@ -85,10 +89,7 @@ class RBElement(Combination):
     def from_parts(cls, ring, lam, semigroup, head, tail, coeff=1):
         return cls(ring, lam, semigroup, {(head, tail): ring.of(coeff)})
 
-    def degree(self):
-        degrees = self.codec.degrees
-        return max((degrees[h] + sum(degrees[ord(c)] for c in t)
-                    for h, t in self.code_terms), default=0)
+    degree = Combination.max_degree
 
     def power(self, k):
         if k < 0:
@@ -100,9 +101,9 @@ class RBElement(Combination):
 
     def operator_p(self):
         """Shift each head into its tail, identity becomes the head."""
-        e = self.semigroup.identity.code
-        return self._like({(e, chr(h) + t): c
-                           for (h, t), c in self.code_terms.items()}, self.den)
+        e = chr(self.semigroup.identity.code)
+        return self._like({e + k: c for k, c in self.code_terms.items()},
+                          self.den)
 
 
 def check_rb_identity(x, y):

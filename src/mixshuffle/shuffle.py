@@ -32,7 +32,7 @@ shuffle_sum multiplies: integer numerators keyed by code strings over one
 denominator, which is 1 except over Q.  So a product reads its operands
 and files its result without building a Word or a Fraction.  Words and
 ring values are built only when a caller reads the Word-keyed terms of
-an element, once per element.
+an element, on each read.
 
 Powers are not computed by repeated binary products.  A k-fold shuffle
 collapses to a walk over tuples of consumed-prefix lengths, and factors
@@ -295,42 +295,41 @@ def shuffle_sum(ring, lam, codec, memo, left, right, heads=False):
     """Sum of x*y times the product of the keys k and l, over (k, x) in
     left and (l, y) in right, with x, y integers.
 
-    A key is a code string u, or with heads a pair (h, u) of a letter code
-    and a code string, and the product of (h, u) and (g, v) files each word
-    t of the product of u and v under (h*g, t).  Returns ({key: integer},
-    den): the sum is each integer over den, a common power of lam's
-    denominator that the caller reduces (Combination._like), with the
-    weights read from one table per call.
+    A key is a code string.  With heads its first character is a head
+    letter: the product of k and l files each word t of the product of
+    k[1:] and l[1:] under the head product k[0]*l[0] in front of t.
+    Returns ({key: integer}, den): the sum is each integer over den, a
+    common power of lam's denominator that the caller reduces
+    (Combination._like), with the weights read from one table per call.
     """
     if not left or not right:
         return {}, 1
     merge = not ring.is_zero(lam)
     mod = ring.modulus
     # a pair merges at most as many slots as its right word has letters
-    top = max(len(l[1] if heads else l) for l, _ in right) if merge else 0
+    top = max(len(l) for l, _ in right) - heads if merge else 0
     weights = _lam_powers(lam, top, mod)
     acc = {}
+    head = ""
     for k, x in left:
-        h, u = k if heads else (None, k)
+        u = k[heads:]
         for l, y in right:
-            g, v = l if heads else (None, l)
+            v = l[heads:]
             counts = None if memo is None else memo.get((u, v))
             if counts is None:
                 counts = _quasi_shuffle(u, v, codec, merge, mod, memo)
             size = len(u) + len(v)
             xy = x * y
             if heads:
-                head = codec.multiply(chr(h), chr(g))
+                head = codec.multiply(k[0], l[0])
                 if head is None:
                     raise ValueError("zero product of heads")
-                head = ord(head)
             if acc:
                 for t, c in counts.items():
-                    key = (head, t) if heads else t
+                    key = head + t
                     acc[key] = get(key, 0) + xy * weights[size - len(t)] * c
             else:
-                acc = {(head, t) if heads else t:
-                       xy * weights[size - len(t)] * c
+                acc = {head + t: xy * weights[size - len(t)] * c
                        for t, c in counts.items()}
                 get = acc.get
     return acc, lam.denominator ** top
@@ -348,29 +347,29 @@ class Combination:
     subclasses never combine.
 
     Terms are held in the form shuffle_sum multiplies: code_terms maps
-    each code key (a word's code string, or a head and tail's pair (head
-    code, tail code string)) to a nonzero integer, and the coefficient is
-    that integer over den.  den is 1 except over Q, where it is the lcm
-    of the coefficients' denominators, so no factor is common to den and
-    every numerator; over F_p and Z/p^N the integers are the canonical
+    each code key, a code string (a word's, or a head letter's in front
+    of its tail's), to a nonzero integer, and the coefficient is that
+    integer over den.  den is 1 except over Q, where it is the lcm of the
+    coefficients' denominators, so no factor is common to den and every
+    numerator; over F_p and Z/p^N the integers are the canonical
     residues.  Every element is reduced this way by _like, so products,
     sums, scaling and equality are dict work on integers.  The
     constructor is the one place keys are converted and rejects keys
     from another alphabet; terms is a read-only view keyed by words with
-    canonical ring values, built on first access and kept.
+    canonical ring values, built on each read.
     """
 
-    __slots__ = ("ring", "lam", "semigroup", "codec", "code_terms", "den",
-                 "_terms")
+    __slots__ = ("ring", "lam", "semigroup", "codec", "code_terms", "den")
 
     # render and to_json list terms in this direction of key_order
     descending = False
-    # keys carry a head letter that multiplies in the semigroup
+    # a code key's first character is a head letter, which multiplies in
+    # the semigroup
     heads = False
 
     def __init__(self, ring, lam, semigroup, terms=None):
         self.ring, self.lam, self.semigroup = ring, ring.of(lam), semigroup
-        self.codec, self._terms = letter_codec(semigroup), None
+        self.codec = letter_codec(semigroup)
         clean = {}
         for key, coeff in (terms or {}).items():
             k = self.code_key(key, self.codec)
@@ -390,7 +389,7 @@ class Combination:
         out = cls.__new__(cls)
         out.ring, out.lam, out.semigroup, out.codec = \
             ring, lam, semigroup, letter_codec(semigroup)
-        out.code_terms, out.den, out._terms = code_terms, den, None
+        out.code_terms, out.den = code_terms, den
         return out
 
     def _like(self, raw, den=1):
@@ -412,16 +411,18 @@ class Combination:
 
     @property
     def terms(self):
-        """{key: value} keyed by words, read-only; built once."""
-        view = self._terms
-        if view is None:
-            values = self.code_terms.values()
-            if self.ring.kind == Q:
-                den = self.den
-                values = [Fraction(x, den) for x in values]
-            view = self._terms = MappingProxyType(
-                dict(zip(self._word_keys(), values)))
-        return view
+        """{key: value} keyed by words, read-only; built on each read."""
+        values = self.code_terms.values()
+        if self.ring.kind == Q:
+            den = self.den
+            values = [Fraction(x, den) for x in values]
+        return MappingProxyType(dict(zip(self._word_keys(), values)))
+
+    def max_degree(self):
+        """The largest degree of a key, the sum of its letters' degrees."""
+        degrees = self.codec.degrees
+        return max((sum(degrees[ord(c)] for c in k) for k in self.code_terms),
+                   default=0)
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -495,7 +496,9 @@ class Combination:
                 and self.code_terms == other.code_terms)
 
     def _listed(self):
-        return sorted(self.terms, key=self.key_order,
+        """The (key, value) terms, listed in the subclass's direction."""
+        order = self.key_order
+        return sorted(self.terms.items(), key=lambda kv: order(kv[0]),
                       reverse=self.descending)
 
     def render(self, ascii_mode=False):
@@ -504,8 +507,8 @@ class Combination:
         R = self.ring
         dot = "*" if ascii_mode else "·"
         parts = []
-        for k in self._listed():
-            c = R.format(self.terms[k])
+        for k, v in self._listed():
+            c = R.format(v)
             body = self._key_text(k, ascii_mode)
             if c == "1":
                 parts.append(body)
@@ -527,8 +530,8 @@ class Combination:
             "ring": R.to_json(),
             "lambda": R.format(self.lam),
             "semigroup": self.semigroup.to_json(),
-            "terms": [dict(self._key_json(k), coeff=R.format(self.terms[k]))
-                      for k in self._listed()],
+            "terms": [dict(self._key_json(k), coeff=R.format(v))
+                      for k, v in self._listed()],
         }
 
     @classmethod
@@ -595,15 +598,11 @@ class TensorPoly(Combination):
 
     def leading_term(self):
         """(word, coeff) at the pro-length-largest word, or None."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return None
-        word = max(self.terms, key=self.key_order)
-        return word, self.terms[word]
-
-    def max_degree(self):
-        degrees = self.codec.degrees
-        return max((sum(degrees[ord(c)] for c in w) for w in self.code_terms),
-                   default=0)
+        word = max(terms, key=self.key_order)
+        return word, terms[word]
 
     def shuffle_power(self, k):
         """k-th power, expanded multinomially into joint shuffles."""
@@ -657,8 +656,9 @@ def shuffle_oracle(x, y):
     x._check(y)
     R = x.ring
     acc = {}
+    y_terms = y.terms.items()
     for wu, cu in x.terms.items():
-        for wv, cv in y.terms.items():
+        for wv, cv in y_terms:
             c = R.mul(cu, cv)
             prods = shuffle_letters_oracle(wu.letters, wv.letters, R, x.lam)
             for letters, k in prods.items():

@@ -287,8 +287,7 @@ class PresentedAlgebra:
                     "generator %s has degree 0; a length bound is required"
                     % g.name)
             unit._check(g.image)
-            if isinstance(g.image, TensorPoly) \
-                    and g.image.max_degree() != g.degree:
+            if g.image.max_degree() != g.degree:
                 raise ValueError("symbol degree of %s differs from its image"
                                  % g.name)
         self._powers = {}
@@ -439,8 +438,8 @@ def _modular_field(ring):
 
 
 def _ranks(rows):
-    """Each row's code key (a word's code string, or a pair of a head code
-    and a tail code string) mapped to its place in the given order."""
+    """Each row's code key, a code string, mapped to its place in the
+    given order."""
     return {r: i for i, r in enumerate(rows)}
 
 
@@ -1239,15 +1238,16 @@ def _inner_lift(monoid, semigroup):
 
 
 def _rb_rows(monoid, tail_semigroup, degree_bound, length_bound=None):
-    """The code keys (head code, tail codes) of the pure tensors of each
-    degree, head by head; the tails are the words over tail_semigroup,
+    """The code keys of the pure tensors of each degree, head by head:
+    the head's character in front of a tail, a word over tail_semigroup
     lifted into the monoid when that is its inner alphabet."""
     lift = _inner_lift(monoid, tail_semigroup)
     rows = {n: [] for n in range(degree_bound + 1)}
     for head in monoid.elements_up_to(degree_bound):
+        h = chr(head.code)
         for n in range(head.degree, degree_bound + 1):
             rows[n].extend(
-                (head.code, lift(tail.codes)) for tail in graded_basis(
+                h + lift(tail.codes) for tail in graded_basis(
                     tail_semigroup, n - head.degree, length_bound))
     return rows
 
@@ -1264,19 +1264,19 @@ def _head_symbols(ring, lam, semigroup):
 def _tails(ring, lam, monoid, gens):
     """The Rota-Baxter tails 1 (x) g of shuffle generators g.
 
-    An image's code terms gain the identity's code as head, with their
-    words lifted into the monoid when they are over its inner alphabet;
-    the lift is injective, so the numerators and denominator stay as
-    they are.  Names are bracketed unless they already are, degrees gain
-    the identity's degree, and cap and relation are kept.
+    An image's code terms gain the identity's character in front, with
+    their words lifted into the monoid when they are over its inner
+    alphabet; the lift is injective, so the numerators and denominator
+    stay as they are.  Names are bracketed unless they already are,
+    degrees gain the identity's degree, and cap and relation are kept.
     """
     ident = monoid.identity
+    e = chr(ident.code)
     out = []
     for g in gens:
         image = g.image
         lift = _inner_lift(monoid, image.semigroup)
-        terms = {(ident.code, lift(t)): x
-                 for t, x in image.code_terms.items()}
+        terms = {e + lift(t): x for t, x in image.code_terms.items()}
         name = g.name if g.name.startswith("[") else "[%s]" % g.name
         out.append(GeneratorSymbol(
             name, RBElement._canonical(ring, image.lam, monoid, terms,
@@ -1362,7 +1362,7 @@ def _verify_rbaz(alphabet, weight, degree_bound, length_bound):
         for head in monoid.elements_up_to(n):
             for tail in graded_basis(monoid, n - head.degree, length_bound):
                 if ident in tail.codes:
-                    key = (head.code, tail.codes)
+                    key = chr(head.code) + tail.codes
                     rows_by_degree[n].append(key)
                     cols.append(("N:%s(x)%s" % (head.name, tail.display(True)),
                                  RBElement._canonical(ring, lam, monoid,

@@ -4,10 +4,10 @@ A word is a finite tuple of letters, held as its code string, one
 character chr(code) per letter under the one LetterCodec of its
 alphabet.  Words compare and hash on that string (equal alphabets share
 a codec, and the empty word is the same over every alphabet); letters,
-sort keys and degree are read off the codec's tables on first use and
-kept.  Two orders matter: plain lexicographic order (a proper prefix is
-smaller), which defines Lyndon words, and pro-length order (shorter
-first, then letterwise), which is the order leading terms are read in.
+sort keys and degree are read off the codec's tables on each use.  Two
+orders matter: plain lexicographic order (a proper prefix is smaller),
+which defines Lyndon words, and pro-length order (shorter first, then
+letterwise), which is the order leading terms are read in.
 
 Word listings read pools on the codec: the words of each exact length
 and degree, built once each from those one letter shorter.  Lyndon words
@@ -35,12 +35,12 @@ class Word:
     """A word held as the code string of its letters and its alphabet's
     codec; equality and hashing read the codes, never the letters.
 
-    Letters, sort keys, the pro-length key and the degree are derived
-    from the codec's tables on first use and kept.  The empty word has
-    no alphabet of its own and equals every other empty word.
+    Letters, sort keys, the pro-length key and the degree are read off
+    the codec's tables on each use.  The empty word has no alphabet of
+    its own and equals every other empty word.
     """
 
-    __slots__ = ("codes", "codec", "_letters", "_order", "_degree")
+    __slots__ = ("codes", "codec")
 
     def __init__(self, letters):
         letters = tuple(letters)
@@ -49,36 +49,24 @@ class Word:
             raise ValueError("letters from different alphabets")
         self.codec, = codecs
         self.codes = "".join([chr(l.code) for l in letters])
-        self._letters = self._order = self._degree = None
 
     @property
     def letters(self):
-        letters = self._letters
-        if letters is None:
-            letters = self._letters = tuple(
-                map(self.codec.elements.__getitem__, map(ord, self.codes)))
-        return letters
-
-    @property
-    def pro_length_key(self):
-        order = self._order
-        if order is None:
-            codes = self.codes
-            order = self._order = (len(codes), tuple(
-                map(self.codec.sort_keys.__getitem__, map(ord, codes))))
-        return order
+        return tuple(map(self.codec.elements.__getitem__,
+                         map(ord, self.codes)))
 
     @property
     def keys(self):
-        return self.pro_length_key[1]
+        return tuple(map(self.codec.sort_keys.__getitem__,
+                         map(ord, self.codes)))
+
+    @property
+    def pro_length_key(self):
+        return len(self.codes), self.keys
 
     @property
     def degree(self):
-        degree = self._degree
-        if degree is None:
-            degree = self._degree = sum(
-                map(self.codec.degrees.__getitem__, map(ord, self.codes)))
-        return degree
+        return sum(map(self.codec.degrees.__getitem__, map(ord, self.codes)))
 
     @property
     def length(self):
@@ -122,7 +110,6 @@ def _from_codes(codec, codes):
     w = _new(Word)
     w.codes = codes
     w.codec = codec
-    w._letters = w._order = w._degree = None
     return w
 
 

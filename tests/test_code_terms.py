@@ -147,11 +147,13 @@ def test_powers_match_repeated_products_and_pinned_text():
     assert pinned(results) == DIGESTS["powers"]
 
 
+RB_MONOIDS = (("free:x,y+1", Unitarized(FreeAbelian(["x", "y"]))),
+              ("mu:3,1", semigroup_from_preset("mu:3,1")))
+
+
 def test_rota_baxter_identity_products_and_pinned_text():
     results = []
-    monoids = (("free:x,y+1", Unitarized(FreeAbelian(["x", "y"]))),
-               ("mu:3,1", semigroup_from_preset("mu:3,1")))
-    for name, monoid in monoids:
+    for name, monoid in RB_MONOIDS:
         letters = monoid.elements_up_to(2)
         for ring, lam in cells():
             rng = random.Random("rb/%s/%r/%s" % (name, ring, lam))
@@ -169,6 +171,26 @@ def test_rota_baxter_identity_products_and_pinned_text():
                 for r in results[-5:]:
                     assert_rebuilds(r)
     assert pinned(results) == DIGESTS["rota_baxter"]
+
+
+def test_rota_baxter_code_keys_are_words_with_the_head_in_front():
+    # a pair (head, tail) is keyed by the code string of the word head
+    # tail, as in A (x) Sh(A); P puts the identity in front of it
+    for name, monoid in RB_MONOIDS:
+        letters = monoid.elements_up_to(2)
+        e = chr(monoid.identity.code)
+        for ring, lam in cells():
+            rng = random.Random("rb-keys/%s/%r/%s" % (name, ring, lam))
+            for _ in range(3):
+                x = draw_rb(rng, ring, lam, monoid, letters)
+                px = x.operator_p()
+                assert px.code_terms == {e + k: c
+                                         for k, c in x.code_terms.items()}
+                for r in (x, px, x * px):
+                    assert all(type(k) is str for k in r.code_terms)
+                    assert sorted(r.code_terms) == sorted(
+                        chr(h.code) + t.codes for h, t in r.terms)
+                    assert RBElement(ring, lam, monoid, r.terms) == r
 
 
 def test_degrees_read_from_codes_match_word_views():

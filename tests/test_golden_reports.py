@@ -166,8 +166,8 @@ def test_field_reports_match_golden_under_a_small_certifying_prime(
     exact = []
 
     class Recording(verify_module.SparseEliminator):
-        def __init__(self, ring, key_order=None, track=False):
-            super().__init__(ring, key_order, track)
+        def __init__(self, ring, track=False):
+            super().__init__(ring, track)
             exact.append(track and ring.kind == "Q")
 
     monkeypatch.setattr(verify_module, "_CERTIFYING_FIELD",

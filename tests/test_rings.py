@@ -456,12 +456,16 @@ def test_eliminator_express_reconstructs_combination():
     assert elim.express({"z": 1}) is None
 
 
-def test_eliminator_respects_key_order():
-    # with the reversed order the second vector reduces against the first
+def test_eliminator_leads_with_the_largest_key():
+    # each vector is filed under its largest key: {2: 1} reduces against
+    # {1: 1, 2: 1} to {1: -1}, and that against {1: 1} to zero
     Q = Ring.rationals()
-    elim = SparseEliminator(Q, key_order=lambda k: -k)
+    elim = SparseEliminator(Q)
     assert elim.insert({1: 1, 2: 1})
+    assert list(elim.pivots) == [2]
     assert elim.insert({1: 1})
+    assert list(elim.pivots) == [2, 1]
+    assert not elim.insert({2: 1})
     assert elim.rank == 2
 
 

@@ -477,6 +477,23 @@ def test_unit_over_another_ring_or_alphabet_is_refused():
             PresentedAlgebra(ring, 0, f, gens, unit)
 
 
+def test_generator_degree_must_match_its_image():
+    # monomials are bucketed by the declared degrees, so every image, a
+    # tensor polynomial or a Rota-Baxter element, must have that degree
+    Q = Ring.rationals()
+    f = FreeAbelian(["x"])
+    m = mx.Unitarized(f)
+    for unit, image in (
+            (TensorPoly.unit(Q, 1, f), word_poly(Q, 1, f, (f.parse("x"),))),
+            (mx.RBElement.one(Q, 1, m), mx.RBElement.from_parts(
+                Q, 1, m, m.parse("x"), mx.empty_word()))):
+        sg = unit.semigroup
+        PresentedAlgebra(Q, 1, sg, [GeneratorSymbol("g", image, 1, 0)], unit)
+        with pytest.raises(ValueError, match="symbol degree of g differs"):
+            PresentedAlgebra(Q, 1, sg, [GeneratorSymbol("g", image, 2, 0)],
+                             unit)
+
+
 def test_generator_powers_do_not_recurse_per_exponent():
     F2 = Ring.prime_field(2)
     f = FreeAbelian(["x"])
@@ -1107,9 +1124,10 @@ def reference_monomials(alg, bound):
 
 def reference_filtered_cells(field, key_order, rows_by_degree,
                              cols_by_degree):
-    """Field cells by one exact tracked elimination over the rows' keys."""
-    elim = SparseEliminator(field, key_order, track=True)
-    window = {k for keys in rows_by_degree.values() for k in keys}
+    """Field cells by one exact tracked elimination over the rows' keys,
+    each re-keyed by key_order to an orderable tuple."""
+    elim = SparseEliminator(field, track=True)
+    window = {key_order(k) for keys in rows_by_degree.values() for k in keys}
     counterexample = None
     cells = []
     for n in sorted(set(rows_by_degree) | set(cols_by_degree)):
@@ -1118,6 +1136,7 @@ def reference_filtered_cells(field, key_order, rows_by_degree,
         note = None
         increment = 0
         for name, vec in cols:
+            vec = {key_order(k): c for k, c in vec.items()}
             if not window.issuperset(vec):
                 note = note or "image of %s leaves the window" % name
             elif elim.insert(vec, tag=name):
@@ -1134,7 +1153,8 @@ def reference_filtered_cells(field, key_order, rows_by_degree,
 
 def reference_square_cells(ring, key_order, rows_by_degree, cols_by_degree):
     """Square cells by dense Smith forms over Z and exact elimination mod p
-    over Z/p^N, both over the rows' keys."""
+    over Z/p^N, both over the rows' keys, re-keyed by key_order to
+    orderable tuples for the elimination."""
     cells = []
     for n in sorted(rows_by_degree):
         keys = rows_by_degree[n]
@@ -1157,9 +1177,10 @@ def reference_square_cells(ring, key_order, rows_by_degree, cols_by_degree):
             elif rank != len(keys):
                 note = "rank %d of %d" % (rank, len(keys))
         else:
-            elim = SparseEliminator(Ring.prime_field(ring.p), key_order)
+            elim = SparseEliminator(Ring.prime_field(ring.p))
             for _, vec in cols:
-                elim.insert({k: c % ring.p for k, c in vec.items()})
+                elim.insert({key_order(k): c % ring.p
+                             for k, c in vec.items()})
             rank = elim.rank
             if not len(keys) == len(cols) == rank:
                 note = "determinant not a unit"
@@ -1232,8 +1253,8 @@ def record_eliminators(monkeypatch):
     made = []
 
     class Recording(SparseEliminator):
-        def __init__(self, ring, key_order=None, track=False):
-            super().__init__(ring, key_order, track)
+        def __init__(self, ring, track=False):
+            super().__init__(ring, track)
             made.append((ring, track))
 
     monkeypatch.setattr(verify_module, "SparseEliminator", Recording)
