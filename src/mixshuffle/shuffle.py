@@ -594,7 +594,14 @@ class TensorPoly(Combination):
         return cls(ring, lam, semigroup, {word: ring.of(coeff)})
 
     def coefficient(self, word):
-        return self.terms.get(word, self.ring.zero)
+        """The coefficient of a word, by one lookup of its code string;
+        zero for a word over another alphabet."""
+        x = None
+        if word.codec is self.codec or not word.codes:
+            x = self.code_terms.get(word.codes)
+        if x is None:
+            return self.ring.zero
+        return Fraction(x, self.den) if self.ring.kind == Q else x
 
     def leading_term(self):
         """(word, coeff) at the pro-length-largest word, or None."""

@@ -26,12 +26,17 @@ elements hold integer numerators over one denominator keyed by letter
 codes.  Rows are code keys too, numbered in the order given, which no
 rank, divisor or named dependency depends on; each column's numerators
 are keyed by row number, so the eliminators hash and compare plain ints.
-Over Q a cell is first eliminated mod the 61-bit prime P = 2^61 - 1: a
-minor that is nonzero mod P is nonzero over Q, so a full rank mod P
-certifies the cell, and only a deficient one is eliminated again
-exactly, with tracking where a counterexample is to be named.  Over F_p
-the same untracked pass runs mod p.  No row or term is read as a Word
-or a Fraction on the way to a cell.
+Every cell is first read once for a certificate: when its columns have
+pairwise distinct leading rows, each holding a unit of the ring, a
+square minor on those rows is triangular with a unit diagonal, so the
+columns are independent (mod p over Z/p^N) and over Z have every
+elementary divisor 1.  Only a cell that fails it is eliminated.  Over Q
+it is then eliminated mod the 61-bit prime P = 2^61 - 1: a minor that is
+nonzero mod P is nonzero over Q, so a full rank mod P certifies the
+cell, and only a deficient one is eliminated again exactly, with
+tracking where a counterexample is to be named.  Over F_p the same
+untracked pass runs mod p.  No row or term is read as a Word or a
+Fraction on the way to a cell.
 
 Each generator family has one builder.  The Rota-Baxter verifiers mirror
 Sh(A) = A (x) Sh+(A): each builds only its heads and takes its tails from
@@ -425,8 +430,9 @@ def check_relations(algebra, max_length=None):
 # linear algebra drivers
 
 
-# Over Q a cell is certified by its rank mod this prime: a minor that is
-# nonzero mod P is nonzero over Q, so full rank mod P is full rank
+# A Q cell that fails _certified is first eliminated mod this prime, the
+# fallback's first stage: a minor that is nonzero mod P is nonzero over Q,
+# so full rank mod P is full rank
 _CERTIFYING_FIELD = Ring.prime_field(2 ** 61 - 1)
 
 
@@ -435,6 +441,32 @@ def _modular_field(ring):
     if ring.kind == "Q":
         return _CERTIFYING_FIELD
     return ring if ring.is_field else Ring.prime_field(ring.p)
+
+
+def _certified(ring, columns, key=None):
+    """Do these sparse columns, {row: value}, certify their own full rank?
+
+    They do when every column is nonempty, their leading rows (largest by
+    key) are pairwise distinct, and each leading entry is a unit of ring
+    (over Q, whose columns may be numerators, any nonzero value).  A square
+    minor on the leading rows is then triangular with a unit diagonal: the
+    columns are independent over a field and mod p over Z/p^N, and over Z
+    every elementary divisor is 1.  A row that key does not know
+    (KeyError) fails the certificate.
+    """
+    leads = set()
+    is_unit = ring.is_unit
+    try:
+        for column in columns:
+            if not column:
+                return False
+            lead = max(column, key=key)
+            if lead in leads or not is_unit(column[lead]):
+                return False
+            leads.add(lead)
+    except KeyError:
+        return False
+    return True
 
 
 def _ranks(rows):
@@ -478,11 +510,16 @@ def _cell_rank(ring, vectors):
     nonzero elementary divisors (None over the other rings).
 
     A column over Q is given by its numerators over one denominator, which
-    scales it by a unit.  The rank is taken mod a prime: mod p over F_p,
-    and over Z/p^N too, where by Nakayama's lemma it decides both
-    spanning and independence at every precision N; over Q mod P, where
-    only a rank below full is recomputed exactly.
+    scales it by a unit.  Columns that pass _certified have full rank, and
+    over Z every divisor 1.  The others are eliminated: their rank is
+    taken mod a prime, mod p over F_p, and over Z/p^N too, where by
+    Nakayama's lemma it decides both spanning and independence at every
+    precision N; over Q mod P, where only a rank below full is recomputed
+    exactly; over Z elementary_divisors gives the divisors.
     """
+    if _certified(ring, vectors):
+        n = len(vectors)
+        return n, [1] * n if ring.kind == "Z" else None
     if ring.kind == "Z":
         divisors = elementary_divisors(vectors)
         return len(divisors), divisors
@@ -503,40 +540,54 @@ def _dependency(elim, name, vec):
 def _filtered_cells(report, field, rows_by_degree, cols_by_degree):
     """Cumulative full-rank certification over a field.
 
-    Columns are inserted in ascending degree; because merges never raise
+    Columns are taken in ascending degree; because merges never raise
     degree, the final square full-rank system certifies a basis of the
     whole window even when individual images straddle degrees.  One
-    untracked elimination mod a prime (P over Q, p over F_p) certifies a
-    run in which every column enlarges the span; a run with a dependent
-    column is eliminated again exactly, with tracking, to name it.
+    _certified pass over every image, reading its leading row through the
+    window's numbering, certifies a window in which every column enlarges
+    the span.  Any other window is eliminated: one untracked elimination
+    mod a prime (P over Q, p over F_p) certifies a run in which every
+    column enlarges the span, and a run with a dependent column is
+    eliminated again exactly, with tracking, to name it.
     """
     rank = _ranks([r for rows in rows_by_degree.values() for r in rows])
     degrees = sorted(set(rows_by_degree) | set(cols_by_degree))
-    ranked = [(n,) + _ranked(rank, cols_by_degree.get(n, []))
-              for n in degrees]
-    fast = SparseEliminator(_modular_field(field))
-    exact = None
-    if not all(fast.insert(vec) for _, inside, _ in ranked
-               for _, _, vec in inside):
-        exact = SparseEliminator(field, track=True)
-    for n, inside, note in ranked:
+    cols = [cols_by_degree.get(n, []) for n in degrees]
+    if _certified(field, (image.code_terms for bucket in cols
+                          for _, image in bucket), rank.__getitem__):
+        found = [(len(bucket), None) for bucket in cols]
+    else:
+        found = _eliminated(report, field, rank, cols)
+    for n, bucket, (increment, note) in zip(degrees, cols, found):
         dim = len(rows_by_degree.get(n, ()))
-        cols = cols_by_degree.get(n, [])
-        increment = len(inside)
-        if exact is not None:
-            increment = 0
-            for name, image, vec in inside:
-                vec = _field_values(vec, image.den)
-                if exact.insert(vec, tag=name):
-                    increment += 1
-                elif report.counterexample is None:
-                    report.counterexample = _dependency(exact, name, vec)
-        ok = (dim == len(cols) == increment) and note is None
+        ok = (dim == len(bucket) == increment) and note is None
         if not ok and note is None:
             note = "dimension %d, monomials %d, new rank %d" % (
-                dim, len(cols), increment)
+                dim, len(bucket), increment)
         report.cells.append(
-            CellRecord(n, dim, len(cols), increment, ok, note))
+            CellRecord(n, dim, len(bucket), increment, ok, note))
+
+
+def _eliminated(report, field, rank, cols):
+    """(rank increment, window note) of each degree's columns, eliminated
+    cumulatively; the first dependent column goes to the report's
+    counterexample."""
+    ranked = [_ranked(rank, bucket) for bucket in cols]
+    fast = SparseEliminator(_modular_field(field))
+    if all(fast.insert(vec) for inside, _ in ranked for _, _, vec in inside):
+        return [(len(inside), note) for inside, note in ranked]
+    exact = SparseEliminator(field, track=True)
+    found = []
+    for inside, note in ranked:
+        increment = 0
+        for name, image, vec in inside:
+            vec = _field_values(vec, image.den)
+            if exact.insert(vec, tag=name):
+                increment += 1
+            elif report.counterexample is None:
+                report.counterexample = _dependency(exact, name, vec)
+        found.append((increment, note))
+    return found
 
 
 def _square_cells(ring, rows_by_degree, cols_by_degree):
@@ -578,7 +629,10 @@ def check_independence(algebra, degree):
     every elementary divisor of the image matrix must be 1, so the images
     are independent and their span is saturated (a divisor d > 1 means a
     word-lattice vector outside the span has d times it inside).  Over
-    Z/p^N it is independence after reduction mod p.
+    Z/p^N it is independence after reduction mod p.  Images with distinct
+    unit leading entries (_certified, leading by code string) pass with no
+    elimination; only a failing cell is eliminated again to name the
+    first dependent monomial.
     """
     ring = algebra.ring
     cols = algebra.monomials_by_degree(degree).get(degree, [])
@@ -607,13 +661,13 @@ def check_independence(algebra, degree):
 def check_spanning(algebra, degree):
     """Is every degree-n basis word a combination of the monomial images?
 
-    The verdict is read off the rank of the images: they span when it
-    equals the number of words, over a field and, by Nakayama's lemma,
-    over Z/p^N, where the rank is taken mod p; over Z when moreover every
-    elementary divisor is 1.  Only a failing cell tests its words one by
-    one, against one factorization of the images (an eliminator over a
-    field, a Smith form over Z and Z/p^N), to name the first word out of
-    reach.
+    The verdict is read off the rank of the images (_cell_rank, so by the
+    leading-entry certificate first): they span when it equals the number
+    of words, over a field and, by Nakayama's lemma, over Z/p^N, where the
+    rank is taken mod p; over Z when moreover every elementary divisor is
+    1.  Only a failing cell tests its words one by one, against one
+    factorization of the images (an eliminator over a field, a Smith form
+    over Z and Z/p^N), to name the first word out of reach.
     """
     ring = algebra.ring
     if not isinstance(algebra.unit, TensorPoly):

@@ -157,12 +157,24 @@ def test_field_report_matches_golden(golden_field, name):
     assert report_text(FIELD_CASES, name) == golden_field[name]
 
 
+@pytest.mark.parametrize("path,cases", SUITES, ids=("integral", "field"))
+def test_reports_match_golden_with_the_certificate_off(monkeypatch, path,
+                                                       cases):
+    # every cell then goes through the eliminations that a passing
+    # leading-entry certificate skips, which must give the same reports
+    monkeypatch.setattr(verify_module, "_certified",
+                        lambda *args, **kwargs: False)
+    golden = load(path)
+    for name in sorted(cases):
+        assert report_text(cases, name) == golden[name], name
+
+
 @pytest.mark.parametrize("prime", (2, 3))
 def test_field_reports_match_golden_under_a_small_certifying_prime(
         golden_field, monkeypatch, prime):
-    # Q cells are certified by their rank mod a 61-bit prime; mod 2 or 3
-    # many are deficient and go through the exact tracked elimination,
-    # which must give the same reports
+    # with the certificate off, Q cells are certified by their rank mod a
+    # 61-bit prime; mod 2 or 3 many are deficient and go through the
+    # exact tracked elimination, which must give the same reports
     exact = []
 
     class Recording(verify_module.SparseEliminator):
@@ -173,6 +185,8 @@ def test_field_reports_match_golden_under_a_small_certifying_prime(
     monkeypatch.setattr(verify_module, "_CERTIFYING_FIELD",
                         Ring.prime_field(prime))
     monkeypatch.setattr(verify_module, "SparseEliminator", Recording)
+    monkeypatch.setattr(verify_module, "_certified",
+                        lambda *args, **kwargs: False)
     for name in sorted(FIELD_CASES):
         assert report_text(FIELD_CASES, name) == golden_field[name], name
     assert any(exact)

@@ -270,6 +270,35 @@ def test_support_sorted_and_coefficient():
     assert poly.coefficient(Word((x ** 3,))) == 0
 
 
+@pytest.mark.parametrize("ring", [Ring.rationals(), Ring.prime_field(3),
+                                  Ring.integers()], ids=repr)
+def test_coefficient_reads_the_terms_view(ring):
+    rng = random.Random("coefficient %r" % ring)
+    f = FreeAbelian(["x", "y"])
+    words = [empty_word()] + enumerate_words(f, 3, 3)
+    other = FreeAbelian(["x", "y", "z"])
+    x, y = f.parse("x"), f.parse("y")
+    dens = {"Q": (1, 2, 5), "Fp": (1, 2), "Z": (1,)}[ring.kind]
+    for _ in range(6):
+        terms = {w: ring.of(Fraction(rng.randint(-9, 9), rng.choice(dens)))
+                 for w in rng.sample(words, 6)}
+        poly = TensorPoly(ring, 1, f, terms)
+        view = poly.terms
+        for w in words:
+            got = poly.coefficient(w)
+            assert got == view.get(w, ring.zero), w
+            assert type(got) is type(ring.zero), w
+        # a word over another alphabet is not a term, even with the same
+        # codes; the empty word is the same over every alphabet
+        for w in enumerate_words(other, 2, 2):
+            assert poly.coefficient(w) == ring.zero
+        assert poly.coefficient(Word((other.parse("x"),))) == 0
+        assert poly.coefficient(Word(())) == view.get(empty_word(),
+                                                      ring.zero)
+    assert TensorPoly.unit(ring, 1, f).coefficient(empty_word()) == ring.one
+    assert TensorPoly.unit(ring, 1, f).coefficient(Word((x, y))) == 0
+
+
 def test_scale_and_mixed_ring_guard():
     Q = Ring.rationals()
     f = FreeAbelian(["x"])

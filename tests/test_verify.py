@@ -1245,11 +1245,21 @@ def test_products_with_the_unit_are_the_other_operand(kind):
                 (want.code_terms, want.den), (n, name)
 
 
-# Q cells: rank mod a 61-bit prime, exact elimination only when deficient
+# Q cells that fail the certificate: rank mod a 61-bit prime, exact
+# elimination only when deficient
+
+
+def certificate_off(monkeypatch):
+    """Make every cell fail the leading-entry certificate, so each one
+    goes through the eliminators."""
+    monkeypatch.setattr(verify_module, "_certified",
+                        lambda *args, **kwargs: False)
 
 
 def record_eliminators(monkeypatch):
-    """The (ring, tracked) of every eliminator the verifiers make."""
+    """The (ring, tracked) of every eliminator the verifiers make, with
+    the certificate off."""
+    certificate_off(monkeypatch)
     made = []
 
     class Recording(SparseEliminator):
@@ -1394,6 +1404,157 @@ def test_drawn_cells_do_not_depend_on_the_row_order(ring, weights, seed):
         for _ in range(3):
             assert driver_cells(ring, shuffled(rng, codes),
                                 buckets) == expected
+
+
+# the leading-entry certificate against the eliminations it skips
+
+
+CERTIFIED_RINGS = [pytest.param(ring, id=repr(ring)) for ring in (
+    Ring.rationals(), Ring.prime_field(2), Ring.prime_field(3),
+    Ring.truncated_padic(3, 4), Ring.integers())]
+
+
+def eliminated(ring, vectors):
+    """Rank and, over Z, the divisors (else None) of integer columns by
+    elimination alone: exact over a field, mod p over Z/p^N, and
+    elementary_divisors over Z."""
+    if ring.kind == "Z":
+        divisors = elementary_divisors(vectors)
+        return len(divisors), divisors
+    elim = SparseEliminator(ring if ring.is_field
+                            else Ring.prime_field(ring.p))
+    for vec in vectors:
+        elim.insert(vec)
+    return elim.rank, None
+
+
+def draw_columns(rng, ring):
+    """Sparse columns of canonical nonzero values over up to 7 rows:
+    either with distinct leading rows and random entries below them, or
+    with every entry random, empty columns and surplus columns
+    included."""
+    rows = rng.randint(1, 7)
+    values = [v for v in map(ring.of, (1, -1, 2, 3, -3, 4, 9)) if v]
+
+    def value():
+        return int(rng.choice(values)) if ring.kind == "Q" \
+            else rng.choice(values)
+
+    if rng.random() < 0.5:
+        leads = rng.sample(range(rows), rng.randint(1, rows))
+        return [{i: value() for i in rng.sample(range(lead),
+                                                rng.randint(0, lead))
+                 + [lead]} for lead in leads]
+    return [{i: value() for i in rng.sample(range(rows),
+                                            rng.randint(0, rows))}
+            for _ in range(rng.randint(1, rows + 1))]
+
+
+@pytest.mark.parametrize("ring", CERTIFIED_RINGS)
+def test_certificate_implies_full_rank_on_drawn_columns(ring, monkeypatch):
+    rng = random.Random("certificate %r" % ring)
+    certified = 0
+    for _ in range(400):
+        vectors = draw_columns(rng, ring)
+        want = eliminated(ring, vectors)
+        if verify_module._certified(ring, vectors):
+            certified += 1
+            n = len(vectors)
+            assert want == (n, [1] * n if ring.kind == "Z" else None)
+        assert verify_module._cell_rank(ring, vectors) == want, vectors
+        with monkeypatch.context() as patch:
+            certificate_off(patch)
+            assert verify_module._cell_rank(ring, vectors) == want, vectors
+    assert 20 < certified < 380
+
+
+def test_certificate_fails_on_crafted_cells():
+    Q, Z = Ring.rationals(), Ring.integers()
+    F2, F3, Z34 = Ring.prime_field(2), Ring.prime_field(3), \
+        Ring.truncated_padic(3, 4)
+    certified = verify_module._certified
+    for ring, vectors, rank in (
+            # a dependent column
+            (Q, [{0: 1, 1: 2}, {0: 2, 1: 4}], 1),
+            (F3, [{0: 1}, {1: 1}, {0: 2, 1: 1}], 2),
+            # two independent columns sharing a leading row
+            (Q, [{0: 1, 1: 1}, {1: 1}], 2),
+            (F2, [{1: 1}, {0: 1, 1: 1}], 2),
+            (Z, [{0: 1, 1: 1}, {1: -1}], 2),
+            # a leading entry that is not a unit: 0 mod p, 2 over Z, a
+            # zero numerator over Q
+            (Z34, [{0: 1, 1: 3}, {0: 1}], 1),
+            (Z, [{0: 1, 1: 2}, {0: 1}], 2),
+            (Q, [{0: 1, 1: 0}, {1: 1}], 2),
+            # an empty column
+            (Q, [{0: 1}, {}], 1),
+            (F2, [{}], 0),
+            (Z, [{0: -1}, {}, {1: 1}], 2)):
+        assert not certified(ring, vectors), (ring, vectors)
+        assert verify_module._cell_rank(ring, vectors) == \
+            eliminated(ring, vectors)
+        assert eliminated(ring, vectors)[0] == rank, (ring, vectors)
+    assert eliminated(Z, [{0: 1, 1: 2}, {0: 1}])[1] == [1, 2]
+    # a row the window does not number fails, however the rest reads
+    window = {"a": 0, "b": 1}
+    assert certified(Q, [{"a": 1}, {"b": 1}], window.__getitem__)
+    assert not certified(Q, [{"a": 1}, {"c": 1}], window.__getitem__)
+    assert not certified(Q, [{"b": 1, "c": 1}], window.__getitem__)
+
+
+def test_filtered_cell_with_an_image_outside_the_window(monkeypatch):
+    Q = Ring.rationals()
+    f = FreeAbelian(["x", "y"])
+    x, y = f.parse("x"), f.parse("y")
+    rows = {1: [Word((x,)).codes]}
+    cols = {1: [("a", word_poly(Q, 1, f, (x,))),
+                ("b", word_poly(Q, 1, f, (y,), 3))]}
+
+    def cells():
+        report = mx.VerificationReport("cell", Q, 1, f, {})
+        verify_module._filtered_cells(report, Q, rows, cols)
+        return [cell_of(c) for c in report.cells], report.counterexample
+
+    expected = ([(1, 1, 2, 1, False, "image of b leaves the window")], None)
+    assert cells() == expected
+    certificate_off(monkeypatch)
+    assert cells() == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("ring,weights", DRAW_RINGS)
+def test_drawn_cells_are_the_same_with_the_certificate_off(ring, weights,
+                                                           seed,
+                                                           monkeypatch):
+    rng = random.Random("certificate %r/%d" % (ring, seed))
+    lam = ring.of(weights[seed % len(weights)])
+    real = verify_module._certified
+    verdicts = []
+
+    def recording(*args, **kwargs):
+        verdicts.append(real(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(verify_module, "_certified", recording)
+    for kind, (alg, rows) in (
+            (TensorPoly, draw_tensor_algebra(rng, ring, lam)),
+            (mx.RBElement, draw_rb_algebra(rng, ring, lam, 3, 3))):
+        codes = {n: [kind.code_key(k) for k in keys]
+                 for n, keys in rows.items()}
+        buckets = alg.monomials_by_degree(max(rows))
+
+        def records():
+            out = [driver_cells(ring, codes, buckets)]
+            out += [cell_of(check_independence(alg, n)) for n in rows]
+            if kind is TensorPoly:
+                out += [cell_of(check_spanning(alg, n)) for n in rows]
+            return out
+
+        expected = records()
+        with monkeypatch.context() as patch:
+            certificate_off(patch)
+            assert records() == expected
+    assert True in verdicts
 
 
 def rerun_on_shuffled_rows(monkeypatch, rng):
