@@ -643,16 +643,20 @@ class _ZSolver:
         return [xi % q for xi in x] if q else x
 
 
-def elementary_divisors(columns):
-    """The nonzero elementary divisors over Z of a matrix given by columns.
+def unit_pivot_elimination(columns):
+    """Pivot away the entries +-1 of a matrix over Z given by columns.
 
     Each column is a sparse dict from a row key (any hashable) to int.
-    The result equals the D of Matrix.smith_normal_form on the same
-    matrix.  Entries +-1 are pivoted away first, each adding a divisor 1;
-    among them the one whose row and column have the fewest other entries
-    (Markowitz cost) goes first, which keeps the fill-in small.  Only the
-    Schur complement left when no unit entry remains is handed to the
-    dense Smith normal form.
+    Among the unit entries the one whose row and column have the fewest
+    other entries (Markowitz cost) goes first, which keeps the fill-in
+    small.  A pivot at row r with unit u clears row r by column
+    operations; what is left of its column, u*e_r + sum c_i*e_i, lies in
+    the image and is cleared by row operations that touch nothing else.
+
+    Returns (pivots, rows, residual): pivots lists (r, u, {i: c_i}) in
+    pivot order, each c_i on a row no earlier pivot took; residual is the
+    Schur complement left when no unit entry remains, a dense Matrix over
+    Z on the row keys rows, one column per column still nonzero.
     """
     cols = {}
     row_cols = {}
@@ -662,7 +666,7 @@ def elementary_divisors(columns):
             cols[j] = column
             for i in column:
                 row_cols.setdefault(i, set()).add(j)
-    pivots = 0
+    pivots = []
     while True:
         best = None
         for j, column in cols.items():
@@ -683,8 +687,6 @@ def elementary_divisors(columns):
             row_cols[i].discard(j)
         hit = row_cols.pop(r)
         hit.discard(j)
-        # clear row r with column operations; what is left of the pivot
-        # column is then cleared by row operations that touch nothing else
         for k in hit:
             column = cols[k]
             f = column.pop(r) * u
@@ -699,14 +701,26 @@ def elementary_divisors(columns):
                     row_cols[i].discard(k)
             if not column:
                 del cols[k]
-        pivots += 1
-    divisors = [1] * pivots
-    if cols:
-        rows = [i for i, js in row_cols.items() if js]
-        dense = Matrix._raw(Ring.integers(),
-                            [[cols[j].get(i, 0) for j in cols] for i in rows],
-                            len(rows), len(cols))
-        divisors.extend(dense.smith_normal_form()[0])
+        pivots.append((r, u, pivot))
+    rows = [i for i, js in row_cols.items() if js]
+    residual = Matrix._raw(Ring.integers(),
+                           [[cols[j].get(i, 0) for j in cols] for i in rows],
+                           len(rows), len(cols))
+    return pivots, rows, residual
+
+
+def elementary_divisors(columns):
+    """The nonzero elementary divisors over Z of a matrix given by columns,
+    sparse dicts from a row key to int.
+
+    The result equals the D of Matrix.smith_normal_form on the same
+    matrix.  Each unit pivot of unit_pivot_elimination adds a divisor 1;
+    only the residual it leaves is handed to the dense Smith normal form.
+    """
+    pivots, _, residual = unit_pivot_elimination(columns)
+    divisors = [1] * len(pivots)
+    if residual.ncols:
+        divisors.extend(residual.smith_normal_form()[0])
     return divisors
 
 

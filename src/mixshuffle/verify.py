@@ -13,8 +13,11 @@ algebra.  What "comparison" means depends on the coefficient ring:
   divisors are all 1, which pins a Z-module basis: every word is then an
   integral combination of the monomials.  The decomposables map of a
   degree is built sparse; its elementary divisors decide the Z/p^N
-  indecomposables and the nested summand cells, and only the lifted
-  complement walk takes its dense Smith form with transform;
+  indecomposables, and its unit-pivot elimination, back-substituted,
+  gives every word's cokernel class, which the lifted complement walk
+  and the nested summand cells read.  Only a map with a divisor other
+  than 1, or a walk that cannot finish, is made dense for a Smith form
+  with transform;
 * over Z/p^N ranks are taken after reduction mod p.  By Nakayama's lemma
   the images span exactly when their reductions do, and they are a basis
   of a direct summand exactly when their reductions are independent, so a
@@ -60,7 +63,7 @@ import re
 from fractions import Fraction
 
 from .rings import Ring, Matrix, SparseEliminator, _ZSolver, _is_prime, \
-    elementary_divisors
+    elementary_divisors, unit_pivot_elimination
 from .semigroups import Element, Unitarized, FreeAbelian, ProductSemigroup, \
     ElementaryPGroup, FiniteTableSemigroup, cyclic_group_table, letter_codec
 from .words import empty_word, enumerate_words, enumerate_lyndon, \
@@ -1093,16 +1096,20 @@ def compute_cokernel_basis(semigroup, weight, degree):
     """Smith diagnosis of the decomposables map in one degree, with a
     lifted complement basis.
 
-    The map (_decomposables) is densified for a Smith form with transform
-    U; its cokernel must be free, of rank the Lyndon count.  The
-    complement is lifted greedily through plain words, largest in
-    pro-length order first, each acceptance keeping the chosen set a
-    direct summand.  This walk is U's one reader: it keeps each word's
-    cokernel coordinates reduced by a unimodular T that takes the chosen
+    The map (_decomposables) is eliminated by unit pivots
+    (_cokernel_classes), which give its elementary divisors and, when they
+    are all 1, every word's class in the cokernel; the cokernel must be
+    free, of rank the Lyndon count.  The complement is lifted greedily
+    through plain words, largest in pro-length order first, each
+    acceptance keeping the chosen set a direct summand, which does not
+    depend on the basis the classes are written in.  The walk keeps each
+    word's coordinates reduced by a unimodular T that takes the chosen
     words to unit upper triangular form; a word is accepted exactly when
     its reduced coordinates below the chosen rows have gcd 1, and Euclid
-    row operations then extend the triangle by one column.  If the walk
-    cannot finish, the complement is read off U instead.
+    row operations then extend the triangle by one column.  Only when a
+    divisor is not 1, or the walk cannot finish, is the map made dense for
+    a Smith form with transform U: the walk then reads the rows of U past
+    the rank, and failing again the complement is read off U.
     """
     _require(degree >= 1, "the degree must be positive")
     weight = Fraction(weight)
@@ -1112,34 +1119,96 @@ def compute_cokernel_basis(semigroup, weight, degree):
                            *_decomposables(semigroup, lam, degree))
 
 
+def _cokernel_classes(m, columns):
+    """The elementary divisors of the map with these columns on rows
+    0..m-1, and when they are all 1 each row's class in the free cokernel
+    Z^m / im, a sparse {coordinate: int} (None when a divisor is not 1).
+
+    A unit pivot (r, u, c) put u*e_r + sum c_i*e_i in the image, so
+    class(e_r) = -u * sum c_i*class(e_i) on rows pivoted later or never:
+    the classes are back-substituted in reverse pivot order.  A row that
+    neither a pivot nor the residual holds is a free coordinate; the
+    residual's rows take theirs from the rows of its own Smith transform
+    past its rank.
+    """
+    pivots, res_rows, residual = unit_pivot_elimination(columns)
+    divisors = [1] * len(pivots)
+    past = []
+    if residual.ncols:
+        d, U, _ = residual.smith_normal_form()
+        divisors += d
+        if any(x != 1 for x in d):
+            return divisors, None
+        past = U.rows[len(d):]
+    taken = set(res_rows).union(r for r, _, _ in pivots)
+    free = [i for i in range(m) if i not in taken]
+    classes = [{} for _ in range(m)]
+    for k, i in enumerate(free):
+        classes[i][k] = 1
+    for k, row in enumerate(past, len(free)):
+        for i, x in zip(res_rows, row):
+            if x:
+                classes[i][k] = x
+    for r, u, c in reversed(pivots):
+        classes[r] = {k: -u * y for k, y in _class_of(classes, c).items()
+                      if y}
+    return divisors, classes
+
+
+def _class_of(classes, vec):
+    """The cokernel class of a sparse {row: int} vector."""
+    out = {}
+    for i, x in vec.items():
+        for k, y in classes[i].items():
+            out[k] = out.get(k, 0) + x * y
+    return out
+
+
+def _greedy_words(rows, reduced):
+    """The greedy complement walk over the words rows, on the rows of
+    reduced, the words' cokernel coordinates (column j holds word j's;
+    reduced is consumed).  Returns the chosen words and the determinant of
+    their coordinates, or None when no complement of plain words is
+    found."""
+    chosen = []
+    det = 1
+    for j in reversed(range(len(rows))):
+        t = len(chosen)
+        if t == len(reduced):
+            break
+        if math.gcd(*[row[j] for row in reduced[t:]]) == 1:
+            det *= _euclid_pivot(reduced, t, j)
+            chosen.append(rows[j])
+    return (chosen, det) if len(chosen) == len(reduced) else None
+
+
 def _cokernel_basis(semigroup, lam, degree, rows, columns):
     """compute_cokernel_basis on the degree's decomposables map, given."""
     ring = Ring.integers()
     m = len(rows)
-    # the entries are canonical ints already: no per-entry coercion
-    mu = Matrix._raw(ring, [[col.get(i, 0) for col in columns]
-                            for i in range(m)], m, len(columns))
-    divisors, U, _ = mu.smith_normal_form()
+    divisors, classes = _cokernel_classes(m, columns)
     rank = len(divisors)
     coker_rank = m - rank
     lyndon_count = sum(1 for w in enumerate_lyndon(semigroup, degree)
                        if w.degree == degree)
     offending = [d for d in divisors if d != 1]
-
-    # the rows T * (rows rank.. of U); det tracks the determinant of the
-    # chosen words' cokernel coordinates
-    reduced = [row[:] for row in U.rows[rank:]]
-    chosen_words = []
-    det = 1
-    for j in reversed(range(m)):
-        t = len(chosen_words)
-        if t == coker_rank:
-            break
-        if math.gcd(*[row[j] for row in reduced[t:]]) == 1:
-            det *= _euclid_pivot(reduced, t, j)
-            chosen_words.append(rows[j])
-    if len(chosen_words) == coker_rank:
+    walk = None
+    if classes is not None:
+        reduced = [[0] * m for _ in range(coker_rank)]
+        for j, cls in enumerate(classes):
+            for k, x in cls.items():
+                reduced[k][j] = x
+        walk = _greedy_words(rows, reduced)
+    if walk is None:
+        # the entries are canonical ints already: no per-entry coercion
+        mu = Matrix._raw(ring, [[col.get(i, 0) for col in columns]
+                                for i in range(m)], m, len(columns))
+        _, U, _ = mu.smith_normal_form()
+        if classes is None:
+            walk = _greedy_words(rows, [row[:] for row in U.rows[rank:]])
+    if walk is not None:
         method = "greedy-words"
+        chosen_words, det = walk
         lifted = [TensorPoly.from_word(ring, lam, semigroup, w)
                   for w in chosen_words]
         names = [w.display(True) for w in chosen_words]
@@ -1155,14 +1224,15 @@ def _cokernel_basis(semigroup, lam, degree, rows, columns):
     diagnosis = {
         "degree": degree,
         "rows": m,
-        "divisors": list(divisors),
+        "divisors": divisors,
         "offending": offending,
         "free": not offending,
         "coker_rank": coker_rank,
         "lyndon_count": lyndon_count,
         "rank_matches": coker_rank == lyndon_count,
         "method": method,
-        "complement_det": det,
+        # the walk's determinant is +-1, its sign set by the coordinates
+        "complement_det": abs(det),
         "y_words": names,
     }
     return diagnosis, lifted
@@ -1264,9 +1334,14 @@ def verify_nested_summand(semigroups, weight, degree_bound):
             lifts = [{index[pad(t)]: c for t, c in poly.code_terms.items()}
                      for poly in bases[step][n - 1]]
             # past the map's rank r: the divisors of the lifts' cokernel
-            # coordinates when the map's are all 1; else never all 1
-            r = len(elementary_divisors(columns))
-            d = elementary_divisors(columns + lifts)[r:]
+            # classes when the map's are all 1; else never all 1
+            divisors, classes = _cokernel_classes(len(rows), columns)
+            r = len(divisors)
+            if classes is None:
+                d = elementary_divisors(columns + lifts)[r:]
+            else:
+                d = elementary_divisors([_class_of(classes, lift)
+                                         for lift in lifts])
             ok = len(d) == len(lifts) and all(x == 1 for x in d)
             report.cells.append(CellRecord(
                 n, len(rows) - r, len(lifts), len(d), ok,
@@ -1535,8 +1610,6 @@ def _rbafp_case(case, alphabet, p, weight, degree_bound, length_bound):
                 "every tail generator is fixed", not sets["tl2"]))
     tail_gens = _tails(ring, lam, semigroup, family)
     unit = RBElement.one(ring, lam, semigroup)
-    tail_algebra = PresentedAlgebra(ring, lam, semigroup, tail_gens, unit,
-                                    length_bound)
     if head_elements is None:
         algebra = PresentedAlgebra(ring, lam, semigroup,
                                    head_gens + tail_gens, unit,
@@ -1547,6 +1620,8 @@ def _rbafp_case(case, alphabet, p, weight, degree_bound, length_bound):
         # the head algebra is filtered, not graded: head generator powers
         # collapse inside the group, so monomials are enumerated by bare
         # head element and each column lands at its true degree
+        tail_algebra = PresentedAlgebra(ring, lam, semigroup, tail_gens,
+                                        unit, length_bound)
         tail_buckets = tail_algebra.monomials_by_degree(degree_bound)
         cols = {n: [] for n in range(degree_bound + 1)}
         for head in semigroup.elements_up_to(degree_bound):

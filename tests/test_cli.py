@@ -117,7 +117,7 @@ def test_verify_table_output():
     assert "degree  dimension  monomials  rank  verdict" in lines
     assert lines[-1] == "verdict: PASS"
     assert "check   degree 4 cokernel free of Lyndon rank: pass" \
-        "  [rank 3, method greedy-words, det -1]" in lines
+        "  [rank 3, method greedy-words, det 1]" in lines
 
 
 def test_verify_json_deterministic_under_seed():

@@ -45,7 +45,7 @@ from mixshuffle import (
     word_symbol,
 )
 from mixshuffle import verify as verify_module
-from mixshuffle.rings import elementary_divisors
+from mixshuffle.rings import elementary_divisors, unit_pivot_elimination
 
 
 def cells_of(report):
@@ -164,7 +164,7 @@ def test_cokernel_basis_greedy_words():
     assert [b.render(True) for b in basis] == ["x(x)x"]
     info, basis = compute_cokernel_basis(FreeAbelian(["x"]), 1, 3)
     assert info["y_words"] == ["x(x)x(x)x", "x^2(x)x"]
-    assert info["complement_det"] == -1
+    assert info["complement_det"] == 1
 
 
 def test_cokernel_basis_transform_complement():
@@ -194,10 +194,11 @@ def decomposables_smith(semigroup, lam, degree):
     return rows, columns, d, U
 
 
-def reference_walk(semigroup, lam, degree):
-    """The greedy complement walk with one trial Smith form per word."""
+def reference_walk(rows, d, U):
+    """The greedy complement walk on the words rows with one trial Smith
+    form per word, reading the rows of the dense transform U past the
+    rank len(d)."""
     Z = Ring.integers()
-    rows, _, d, U = decomposables_smith(semigroup, lam, degree)
     rank = len(d)
     size = len(rows) - rank
     words, columns = [], []
@@ -215,21 +216,65 @@ def reference_walk(semigroup, lam, degree):
     return "greedy-words", words, det
 
 
+WALK_MAPS = [(names, lam, degree)
+             for names, top in ((["x"], 6), (["x", "y"], 4),
+                                (["x", "y", "z"], 3))
+             for lam in (1, -1, 2, 3) for degree in range(1, top + 1)]
+
+
 def test_cokernel_walk_matches_trial_smith_walk():
+    # seeded differential test: the walk on the classes of the unit-pivot
+    # elimination against the walk on the dense Smith transform, also on
+    # a seeded reordering of the map's columns, which reorders the pivots
+    rng = random.Random(22)
     methods = set()
-    for names, top in ((["x"], 6), (["x", "y"], 4), (["x", "y", "z"], 3)):
+    for names, lam, degree in WALK_MAPS:
         f = FreeAbelian(names)
-        for lam in (1, -1, 2, 3):
-            for degree in range(1, top + 1):
-                info, basis = compute_cokernel_basis(f, lam, degree)
-                method, words, det = reference_walk(f, lam, degree)
-                assert info["method"] == method, (names, lam, degree)
-                assert info["complement_det"] == det, (names, lam, degree)
-                if words is not None:
-                    assert info["y_words"] == words, (names, lam, degree)
-                assert len(basis) == info["coker_rank"]
-                methods.add(method)
+        rows, columns, d, U = decomposables_smith(f, lam, degree)
+        method, words, det = reference_walk(rows, d, U)
+        for order in (columns, rng.sample(columns, len(columns))):
+            info, basis = verify_module._cokernel_basis(f, lam, degree, rows,
+                                                        order)
+            where = (names, lam, degree)
+            assert info["divisors"] == d, where
+            assert info["method"] == method, where
+            assert info["complement_det"] == abs(det), where
+            if words is not None:
+                assert info["y_words"] == words, where
+            assert len(basis) == info["coker_rank"] == len(rows) - len(d)
+        methods.add(method)
     assert methods == {"greedy-words", "transform-complement"}
+
+
+def test_cokernel_classes_present_the_cokernel():
+    # the classes are a map Z^m -> Z^k that kills every column and is onto
+    # with k = m - rank; when the map's divisors are all 1 its image is
+    # saturated, so the kernel is the image and the classes present the
+    # cokernel.  The maps include residuals of every kind: free1 degree 6
+    # at weight 1 leaves one with divisors [1], weight 2 ones with a 2
+    Z = Ring.integers()
+    kinds = set()
+    for names, lam, degree in WALK_MAPS:
+        f = FreeAbelian(names)
+        rows, columns, d, _ = decomposables_smith(f, lam, degree)
+        _, _, residual = unit_pivot_elimination(columns)
+        divisors, classes = verify_module._cokernel_classes(len(rows),
+                                                            columns)
+        assert divisors == d, (names, lam, degree)
+        kinds.add((residual.ncols > 0, classes is not None))
+        if classes is None:
+            assert any(x != 1 for x in d), (names, lam, degree)
+            continue
+        k = len(rows) - len(d)
+        for column in columns:
+            assert not any(verify_module._class_of(classes, column).values())
+        if k:
+            dense = [[cls.get(c, 0) for c in range(k)] for cls in classes]
+            D, _, _ = Matrix.from_columns(Z, dense, k).smith_normal_form()
+            assert D == [1] * k, (names, lam, degree)
+    assert kinds == {(False, True), (True, True), (True, False)}
+    rows, columns = verify_module._decomposables(FreeAbelian(["x"]), 1, 6)
+    assert unit_pivot_elimination(columns)[2].ncols
 
 
 def test_decomposables_divisors_match_the_dense_smith_form():
@@ -742,6 +787,89 @@ def test_nested_cells_match_the_transform_projection(monkeypatch, scaled):
                 reference_nested(chain, lam, bound), (len(chain), lam)
 
 
+def two_call_nested(semigroups, weight, degree_bound):
+    """Every nested cell from two elementary_divisors calls per big map:
+    alone for its rank r, then with the padded lifts appended, past r."""
+    cells = []
+    for step, (small, big) in enumerate(zip(semigroups, semigroups[1:])):
+        for n in range(1, degree_bound + 1):
+            _, lifted = verify_module.compute_cokernel_basis(small, weight, n)
+            rows, columns = verify_module._decomposables(big, weight, n)
+            lifts = [{rows.index(pad_word(w, big)): c
+                      for w, c in poly.terms.items()} for poly in lifted]
+            r = len(elementary_divisors(columns))
+            d = elementary_divisors(columns + lifts)[r:]
+            ok = len(d) == len(lifts) and all(x == 1 for x in d)
+            cells.append((n, len(rows) - r, len(lifts), len(d), ok,
+                          "chain step %d" % (step + 1) if ok
+                          else "divisors %s" % (d,)))
+    return cells
+
+
+def double_two_letter_column(monkeypatch):
+    """Double the first column of every two-letter decomposables map."""
+    real = verify_module._decomposables
+
+    def patched(semigroup, lam, degree):
+        rows, columns = real(semigroup, lam, degree)
+        if len(semigroup.generators) == 2 and columns:
+            columns = [{i: 2 * c for i, c in columns[0].items()}] + \
+                columns[1:]
+        return rows, columns
+
+    monkeypatch.setattr(verify_module, "_decomposables", patched)
+
+
+@pytest.mark.parametrize("patch", [None, scale_one_letter_lifts,
+                                   double_two_letter_column])
+def test_nested_cells_match_the_two_call_route(monkeypatch, patch):
+    if patch is not None:
+        patch(monkeypatch)
+    free = [FreeAbelian(["x", "y", "z"][:k]) for k in (1, 2, 3)]
+    for chain, bound in ((free[:2], 4), (free, 3)):
+        for lam in (1, -1):
+            cells = verify_nested_summand(chain, lam, bound).cells
+            assert [cell_of(c) for c in cells] == \
+                two_call_nested(chain, lam, bound), (len(chain), lam)
+
+
+def test_nested_check_eliminates_each_big_map_once(monkeypatch):
+    # each big map is eliminated once, beside each lifted basis's own;
+    # elementary_divisors then reads only the lifts' classes, and the
+    # map's columns again only when the map has a divisor other than 1
+    eliminated, divided = [], []
+    real_elim = verify_module.unit_pivot_elimination
+    real_divisors = verify_module.elementary_divisors
+
+    def counting_elim(columns):
+        eliminated.append(len(columns))
+        return real_elim(columns)
+
+    def counting_divisors(columns):
+        divided.append(len(columns))
+        return real_divisors(columns)
+
+    monkeypatch.setattr(verify_module, "unit_pivot_elimination",
+                        counting_elim)
+    monkeypatch.setattr(verify_module, "elementary_divisors",
+                        counting_divisors)
+    chain = [FreeAbelian(["x", "y", "z"][:k]) for k in (1, 2, 3)]
+    sizes = {(k, n): len(verify_module._decomposables(chain[k - 1], 1, n)[1])
+             for k in (1, 2, 3) for n in (1, 2, 3)}
+    r = verify_nested_summand(chain, 1, 3)
+    assert r.passed
+    assert eliminated == [sizes[k, n] for k in (1, 2) for n in (1, 2, 3)] \
+        + [sizes[k, n] for k in (2, 3) for n in (1, 2, 3)]
+    assert divided == [c.monomials for c in r.cells]
+    del eliminated[:], divided[:]
+    double_two_letter_column(monkeypatch)
+    r = verify_nested_summand(chain[:2], 1, 3)
+    # degree 1 has no column to double; the maps of degrees 2 and 3 have
+    # a divisor 2 and are factored again with their lifts appended
+    assert divided == [1, sizes[2, 2] + 1, sizes[2, 3] + 2]
+    assert not r.passed
+
+
 def test_only_the_complement_walk_factors_the_dense_transform(monkeypatch):
     # verify_zp reads divisors only, and the nested check needs lifted
     # bases for every alphabet but the last
@@ -779,16 +907,7 @@ def test_nested_check_builds_each_map_once(monkeypatch):
 def test_nested_cells_fail_on_an_unsaturated_map(monkeypatch):
     # a divisor 2 in the big alphabet's map leaves its image unsaturated,
     # and the image plus the lifts then is not saturated either
-    real = verify_module._decomposables
-
-    def patched(semigroup, lam, degree):
-        rows, columns = real(semigroup, lam, degree)
-        if len(semigroup.generators) == 2 and columns:
-            columns = [{i: 2 * c for i, c in columns[0].items()}] + \
-                columns[1:]
-        return rows, columns
-
-    monkeypatch.setattr(verify_module, "_decomposables", patched)
+    double_two_letter_column(monkeypatch)
     r = verify_nested_summand([FreeAbelian(["x"]), FreeAbelian(["x", "y"])],
                               1, 3)
     assert failing_cells(r) == [(2, 4, 1, 1, False, "divisors [2]"),
