@@ -12,7 +12,7 @@ from .words import Word, empty_word, word_compare, is_lyndon, \
     componentwise_p_power, operator_T, operator_E, subscript_split, \
     standard_generating_sets, tel2_orbit_check
 from .shuffle import TensorPoly, word_poly, shuffle_oracle, graded_basis, \
-    GradedComponent, length_rescale, with_weight, eettl_representative
+    length_rescale, with_weight, eettl_representative
 from .rota_baxter import RBElement, alphabet_generators
 from .verify import ConfigurationError, VerificationReport, CellRecord, \
     CheckRecord, GeneratorSymbol, PresentedAlgebra, word_symbol, \
@@ -36,7 +36,7 @@ __all__ = [
     "operator_T", "operator_E", "subscript_split",
     "standard_generating_sets", "tel2_orbit_check",
     "TensorPoly", "word_poly", "shuffle_oracle", "graded_basis",
-    "GradedComponent", "length_rescale", "with_weight",
+    "length_rescale", "with_weight",
     "eettl_representative",
     "RBElement", "alphabet_generators",
     "ConfigurationError", "VerificationReport", "CellRecord", "CheckRecord",

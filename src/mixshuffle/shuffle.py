@@ -13,11 +13,14 @@ coercion, sums, scaling, equality, the term order, text and JSON are
 written once, and each subclass adds only its key and its product.
 
 Two independent implementations of the product live here.  The working
-one is a dynamic program over suffix positions of the two words (three
+one builds the product of two words from cells over suffix pairs (three
 branches: take the head of the left word, take the head of the right
-word, merge both heads).  The oracle enumerates all pairs of
+word, merge both heads).  A cold product, with no memo, fills the cells
+row by row and keeps about one row; a warm product, on a memo shared
+across calls, walks down from the requested pair and computes only the
+cells the memo lacks.  The oracle enumerates all pairs of
 order-preserving slot injections whose images cover the result word and
-is used only to cross-check the dynamic program.
+is used only to cross-check the working product.
 
 Inside the product layer letters are the characters chr(code) of their
 alphabet's LetterCodec, words are code strings, which hash once and take
@@ -25,14 +28,15 @@ a letter in front by one concatenation, and coefficients are plain ints:
 the number of ways to reach a word, reduced mod the ring's modulus when
 it has one.  A word with k merged slots carries lambda^k, which depends
 on its length alone, so the weight and the input coefficients are
-applied once per result word, the weight from one table of its powers
-per call over a common denominator, which the element's reduction
-(_like) brings to lowest terms.  Elements store their terms in the form
-shuffle_sum multiplies: integer numerators keyed by code strings over one
-denominator, which is 1 except over Q.  So a product reads its operands
-and files its result without building a Word or a Fraction.  Words and
-ring values are built only when a caller reads the Word-keyed terms of
-an element, on each read.
+applied once per result word, the weight from a table of its powers: for
+an integral weight one table held on the memo and grown as needed,
+otherwise one table per call over a common denominator, which the
+element's reduction (_like) brings to lowest terms.  Elements store
+their terms in the form shuffle_sum multiplies: integer numerators keyed
+by code strings over one denominator, which is 1 except over Q.  So a
+product reads its operands and files its result without building a Word
+or a Fraction.  Words and ring values are built only when a caller
+reads the Word-keyed terms of an element, on each read.
 
 Powers are not computed by repeated binary products.  A k-fold shuffle
 collapses to a walk over tuples of consumed-prefix lengths, and factors
@@ -147,55 +151,89 @@ def _add_prefixed(acc, letter, src, mod):
 
 
 def _quasi_shuffle(u, v, codec, merge, mod, memo):
-    """Counts of the words in the product of two code strings.
+    """Counts of the words in the product of two nonempty code strings.
 
     Returns {code string: count}, counts reduced mod `mod` when it is not
-    None and never zero.  The dynamic program runs over suffix positions
-    (i, j): the product of u[i:] and v[j:] is u[i] in front of the
-    product of u[i+1:] and v[j:], plus v[j] in front of the product of
-    u[i:] and v[j+1:], plus (when merging) the letter u[i]v[j] in front
-    of the product of u[i+1:] and v[j+1:].  With a memo every cell is
-    stored in it under its pair of suffixes, so later products share it;
-    without one (None) about one row of cells is kept.  The caller reads
-    a product already in the memo.  A word with k merged slots carries
-    the weight to the k-th power, which depends on its length only and is
-    applied by the caller, so counts are the same at every nonzero weight.
+    None and never zero.  The product of u[i:] and v[j:] is u[i] in
+    front of the product of u[i+1:] and v[j:], plus v[j] in front of the
+    product of u[i:] and v[j+1:], plus (when merging) the letter u[i]v[j]
+    in front of the product of u[i+1:] and v[j+1:]; a product with an
+    empty side is the other word alone.  Without a memo (None) a dynamic
+    program fills these cells row by row from the bottom, keeping about
+    one row.  With a memo the cells are kept in it under their pairs of
+    suffixes, so later products share them, and a walk from (u, v) down
+    computes only the cells the memo lacks (_walk_cells).  A word with k
+    merged slots carries the weight to the k-th power, which depends on
+    its length only and is applied by the caller, so counts are the same
+    at every nonzero weight.
     """
-    if not u:
-        return {v: 1}
-    if not v:
-        return {u: 1}
+    if memo is not None:
+        return _walk_cells(u, v, codec, merge, mod, memo)
     m, n = len(u), len(v)
-    us = [u[i:] for i in range(m)]
     vs = [v[j:] for j in range(n + 1)]
     below = [{t: 1} for t in vs]  # row i = m: u is used up
     for i in range(m - 1, -1, -1):
         a = u[i]
-        ui = us[i]
-        row = [None] * n + [{ui: 1}]
+        row = [None] * n + [{u[i:]: 1}]
         for j in range(n - 1, -1, -1):
-            key = (ui, vs[j])
-            res = None if memo is None else memo.get(key)
-            if res is None:
-                b = v[j]
-                res = {a + t: c for t, c in below[j].items()}
-                if b == a:
-                    _add_prefixed(res, b, row[j + 1], mod)
-                else:
-                    res.update({b + t: c for t, c in row[j + 1].items()})
-                if merge:
-                    ab = codec.merge(a, b)
-                    if ab == a or ab == b:
-                        _add_prefixed(res, ab, below[j + 1], mod)
-                    else:
-                        res.update({ab + t: c
-                                    for t, c in below[j + 1].items()})
-                if memo is not None:
-                    memo[key] = res
-            row[j] = res
+            row[j] = _cell(a, v[j], below[j], row[j + 1], below[j + 1],
+                           codec, merge, mod)
             below[j + 1] = None  # no cell left to compute needs it
         below = row
     return below[0]
+
+
+def _cell(a, b, rest_u, rest_v, rest_both, codec, merge, mod):
+    """The product of a+s and b+t from three products: rest_u of s and
+    b+t, rest_v of a+s and t, and rest_both of s and t."""
+    res = {a + t: c for t, c in rest_u.items()}
+    if b == a:
+        _add_prefixed(res, b, rest_v, mod)
+    else:
+        res.update({b + t: c for t, c in rest_v.items()})
+    if merge:
+        ab = codec.merge(a, b)
+        if ab == a or ab == b:
+            _add_prefixed(res, ab, rest_both, mod)
+        else:
+            res.update({ab + t: c for t, c in rest_both.items()})
+    return res
+
+
+def _walk_cells(u, v, codec, merge, mod, memo):
+    """The product of two nonempty code strings on a memo, computing only
+    the cells it lacks.
+
+    A cell is computed once its three children are at hand; a child with
+    an empty side is the other word alone and is not kept.  The walk
+    keeps its own stack, so long words do not recurse.
+    """
+    get = memo.get
+    stack = [(u, v)]
+    while stack:
+        key = stack[-1]
+        if key in memo:  # pushed twice, computed since
+            stack.pop()
+            continue
+        s, t = key
+        s1, t1 = s[1:], t[1:]
+        rest_u = get((s1, t)) if s1 else {t: 1}
+        rest_v = get((s, t1)) if t1 else {s: 1}
+        rest_both = {}  # read only when merging
+        if merge:
+            rest_both = get((s1, t1)) if s1 and t1 else {s1 + t1: 1}
+        if rest_u is None or rest_v is None or rest_both is None:
+            if rest_u is None:
+                stack.append((s1, t))
+            if rest_v is None:
+                stack.append((s, t1))
+            if rest_both is None:
+                stack.append((s1, t1))
+            continue
+        stack.pop()
+        memo[key] = _cell(s[0], t[0], rest_u, rest_v, rest_both, codec,
+                          merge, mod)
+    return memo[u, v]
 
 
 def _multi_shuffle(factors, codec, merge, mod, memo):
@@ -291,6 +329,11 @@ def _lam_powers(lam, top, mod):
     return out if mod is None else [w % mod for w in out]
 
 
+# memo slot holding the powers lam^0, lam^1, ... of an integral weight,
+# reduced mod the ring's modulus, as far as the memo's products needed
+_WEIGHTS = "weights"
+
+
 def shuffle_sum(ring, lam, codec, memo, left, right, heads=False):
     """Sum of x*y times the product of the keys k and l, over (k, x) in
     left and (l, y) in right, with x, y integers.
@@ -300,30 +343,48 @@ def shuffle_sum(ring, lam, codec, memo, left, right, heads=False):
     k[1:] and l[1:] under the head product k[0]*l[0] in front of t.
     Returns ({key: integer}, den): the sum is each integer over den, a
     common power of lam's denominator that the caller reduces
-    (Combination._like), with the weights read from one table per call.
+    (Combination._like).  The powers of an integral weight are kept on
+    the memo (or on the call without one) and grown as a pair needs
+    more; other weights over Q build one table per call over a common
+    denominator.
     """
     if not left or not right:
         return {}, 1
     merge = not ring.is_zero(lam)
     mod = ring.modulus
-    # a pair merges at most as many slots as its right word has letters
-    top = max(len(l) for l, _ in right) - heads if merge else 0
-    weights = _lam_powers(lam, top, mod)
+    num, den = lam.numerator, lam.denominator
+    if den == 1:
+        top = 0
+        weights = [1] if memo is None else memo.setdefault(_WEIGHTS, [1])
+    else:
+        # a pair merges at most as many slots as its right word has letters
+        top = max(len(l) for l, _ in right) - heads
+        weights = _lam_powers(lam, top, mod)
     acc = {}
+    get = acc.get
     head = ""
     for k, x in left:
         u = k[heads:]
         for l, y in right:
             v = l[heads:]
-            counts = None if memo is None else memo.get((u, v))
-            if counts is None:
-                counts = _quasi_shuffle(u, v, codec, merge, mod, memo)
-            size = len(u) + len(v)
             xy = x * y
             if heads:
                 head = codec.multiply(k[0], l[0])
                 if head is None:
                     raise ValueError("zero product of heads")
+            if not u or not v:
+                # the one word u then v, with no merged slot
+                t = head + u + v
+                acc[t] = get(t, 0) + xy * weights[0]
+                continue
+            counts = None if memo is None else memo.get((u, v))
+            if counts is None:
+                counts = _quasi_shuffle(u, v, codec, merge, mod, memo)
+            # only at den 1: a table from _lam_powers covers every pair
+            while len(weights) <= len(v):
+                w = weights[-1] * num
+                weights.append(w if mod is None else w % mod)
+            size = len(u) + len(v)
             if acc:
                 for t, c in counts.items():
                     key = head + t
@@ -332,7 +393,7 @@ def shuffle_sum(ring, lam, codec, memo, left, right, heads=False):
                 acc = {head + t: xy * weights[size - len(t)] * c
                        for t, c in counts.items()}
                 get = acc.get
-    return acc, lam.denominator ** top
+    return acc, den ** top
 
 
 class Combination:
@@ -693,39 +754,16 @@ def with_weight(x, lam):
                                  dict(x.code_terms), x.den)
 
 
-class GradedComponent:
-    """The words of one degree (within a length bound), sorted ascending.
-
-    Over any coefficient ring these words are a basis of the degree-n
-    slice of the word space, so dimension is just their count.
-    """
-
-    __slots__ = ("degree", "max_length", "basis", "dimension")
-
-    def __init__(self, degree, max_length, basis):
-        self.degree = degree
-        self.max_length = max_length
-        self.basis = tuple(basis)
-        self.dimension = len(self.basis)
-
-    def __iter__(self):
-        return iter(self.basis)
-
-    def __repr__(self):
-        bound = "" if self.max_length is None else ", len<=%d" % self.max_length
-        return "<GradedComponent deg %d%s, dim %d>" % (
-            self.degree, bound, self.dimension)
-
-
 def graded_basis(semigroup, degree, max_length=None):
-    """All words of exactly the given degree, ascending pro-length order.
+    """All words of exactly the given degree, ascending pro-length order,
+    as a tuple; over any coefficient ring they are a basis of the
+    degree-n slice of the word space.
 
     Alphabets with an identity letter have infinitely many words per
     degree and need the length bound.
     """
     layers = _word_pieces(letter_codec(semigroup), degree, max_length)
-    return GradedComponent(degree, max_length, [
-        w for layer in layers for w in layer.get(degree, ())])
+    return tuple(w for layer in layers for w in layer.get(degree, ()))
 
 
 def eettl_representative(ring, lam, semigroup, word, p):

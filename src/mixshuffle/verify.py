@@ -675,8 +675,7 @@ def check_spanning(algebra, degree):
     ring = algebra.ring
     if not isinstance(algebra.unit, TensorPoly):
         raise ValueError("spanning checks run on tensor algebras")
-    rows = list(graded_basis(algebra.semigroup, degree,
-                             algebra.length_bound))
+    rows = graded_basis(algebra.semigroup, degree, algebra.length_bound)
     cols = algebra.monomials_by_degree(degree).get(degree, [])
     inside, note = _ranked(_ranks([w.codes for w in rows]), cols)
     if note is not None:
@@ -1077,7 +1076,7 @@ def _decomposables(semigroup, lam, degree):
     product, by shuffle_sum on one memo, as a {row index: int} column."""
     ring = Ring.integers()
     codec = letter_codec(semigroup)
-    rows = list(graded_basis(semigroup, degree))
+    rows = graded_basis(semigroup, degree)
     index = {w.codes: i for i, w in enumerate(rows)}
     memo = {}
     columns = []

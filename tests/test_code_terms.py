@@ -13,7 +13,12 @@ cannot change what a caller reads.
 A stream of products on one warm memo, as a presented algebra multiplies,
 must equal the same products without a memo and their oracles, and each
 shuffle power the repeated products on that memo: over Q at weights 0,
-1, -1, 1/2 and 5/3, and over F_3 and Z/3^6 at weights 0, 1, -1 and 2.
+1, -1, 1/2 and 5/3, and over Z, F_3 and Z/3^6 at weights 0, 1, -1 and 2.
+The stream mixes one-term by one-term products, tensor products over the
+free monoid x,y with an identity adjoined (where a merged letter can
+equal a factor) and Rota-Baxter products whose tails are all empty.  A
+warm product of a 300-letter word must run under a recursion limit only
+100 frames above the caller's depth.
 
 A one-letter free alphabet with a window of 400 letter codes checks the
 same oracles, the Rota-Baxter identity and the map of code strings
@@ -22,8 +27,10 @@ with wider ones.
 """
 
 import hashlib
+import inspect
 import json
 import random
+import sys
 from fractions import Fraction
 
 from mixshuffle import (
@@ -308,12 +315,13 @@ def test_wide_alphabet_embedding_round_trip():
 
 # one warm memo across a stream of products, as PresentedAlgebra shares
 # one; each operand's longest word is longer than the other's in half
-# the pairs, so the weight table's size comes from either side
+# the pairs, so the weight table kept on the memo grows from either side
 
 STREAM_CELLS = tuple((Ring.rationals(), lam)
                      for lam in (0, 1, -1, Fraction(1, 2), Fraction(5, 3))) \
     + tuple((ring, lam)
-            for ring in (Ring.prime_field(3), Ring.truncated_padic(3, 6))
+            for ring in (Ring.integers(), Ring.prime_field(3),
+                         Ring.truncated_padic(3, 6))
             for lam in (0, 1, -1, 2))
 
 
@@ -331,6 +339,7 @@ def test_shared_memo_products_match_fresh_products_and_oracles():
     by_length = {0: [Word(())]}
     for w in enumerate_words(sg, 6, 3):
         by_length.setdefault(w.length, []).append(w)
+    # with an identity letter a merged letter can equal either factor
     monoid = Unitarized(FreeAbelian(["x", "y"]))
     heads = monoid.elements_up_to(1)
     rb_tails = {0: [Word(())]}
@@ -338,7 +347,10 @@ def test_shared_memo_products_match_fresh_products_and_oracles():
         rb_tails.setdefault(w.length, []).append(w)
     for ring, lam in STREAM_CELLS:
         rng = random.Random("stream/%r/%s" % (ring, lam))
-        memo, rb_memo = {}, {}
+        # the one-term, identity-letter and empty-tail pairs draw from
+        # their own generator, so rng's draws do not depend on them
+        more = random.Random("stream/more/%r/%s" % (ring, lam))
+        memo, rb_memo, unit_memo = {}, {}, {}
         for i in range(12):
             lengths = (3, rng.randint(0, 2))
             tail_lengths = (2, rng.randint(0, 1))
@@ -356,9 +368,44 @@ def test_shared_memo_products_match_fresh_products_and_oracles():
                 for n in tail_lengths)
             r = x.mul_shared(y, rb_memo)
             assert r == x * y == rb_oracle(x, y), (ring, lam, i)
+            # one term by one term, over both alphabets
+            a, b = (TensorPoly(ring, lam, sg, {
+                more.choice(by_length[n]): more.choice(COEFFS)})
+                for n in (more.randint(0, 3), more.randint(0, 3)))
+            assert a.mul_shared(b, memo) == a * b == shuffle_oracle(a, b), \
+                (ring, lam, i)
+            a, b = (TensorPoly(ring, lam, monoid, {
+                w: more.choice(COEFFS)
+                for w in draw_longest(more, rb_tails, n, more.randint(1, 2))})
+                for n in (3, more.randint(0, 3)))
+            r = a.mul_shared(b, unit_memo)
+            assert r == a * b == shuffle_oracle(a, b), (ring, lam, i)
+            # Rota-Baxter heads with empty tails on both sides
+            x, y = (RBElement(ring, lam, monoid, {
+                (more.choice(heads), Word(())): more.choice(COEFFS)
+                for _ in range(more.randint(1, 2))}) for _ in range(2))
+            r = x.mul_shared(y, rb_memo)
+            assert r == x * y == rb_oracle(x, y), (ring, lam, i)
         poly = TensorPoly(ring, lam, sg, {
             w: rng.choice(COEFFS) for w in draw_longest(rng, by_length, 2, 3)})
         want = TensorPoly.unit(ring, lam, sg)
         for p in range(1, 4):
             want = want.mul_shared(poly, memo)
             assert poly.shuffle_power(p) == want, (ring, lam, p)
+
+
+def test_warm_product_keeps_its_own_stack():
+    # a recursion per cell would need about 300 frames here
+    sg = semigroup_from_preset("free:x")
+    R = Ring.integers()
+    x = sg.parse("x")
+    a = TensorPoly.from_word(R, 1, sg, Word((x,) * 300))
+    b = TensorPoly.from_word(R, 1, sg, Word((x,)))
+    cold = a * b
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        warm = a.mul_shared(b, {})
+    finally:
+        sys.setrecursionlimit(limit)
+    assert warm == cold
