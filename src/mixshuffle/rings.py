@@ -335,23 +335,9 @@ class Matrix:
         return self
 
     @classmethod
-    def identity(cls, ring, n):
-        one, zero = ring.one, ring.zero
-        return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)],
-                   nrows=n, ncols=n)
-
-    @classmethod
     def from_columns(cls, ring, cols, nrows):
         rows = [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
         return cls(ring, rows, nrows=nrows, ncols=len(cols))
-
-    def column(self, j):
-        return [row[j] for row in self.rows]
-
-    def transpose(self):
-        return Matrix(self.ring, [[self.rows[i][j] for i in range(self.nrows)]
-                                  for j in range(self.ncols)],
-                      nrows=self.ncols, ncols=self.nrows)
 
     def mul(self, other):
         if self.ring != other.ring:
@@ -384,23 +370,8 @@ class Matrix:
             out.append(acc)
         return out
 
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.ring == other.ring
-                and self.rows == other.rows and self.nrows == other.nrows
-                and self.ncols == other.ncols)
-
     def __repr__(self):
         return "Matrix(%r, %dx%d)" % (self.ring, self.nrows, self.ncols)
-
-    def to_json(self):
-        return {"ring": self.ring.to_json(), "rows": self.nrows, "cols": self.ncols,
-                "entries": [[self.ring.format(x) for x in row] for row in self.rows]}
-
-    @staticmethod
-    def from_json(data):
-        ring = Ring.from_json(data["ring"])
-        rows = [[ring.parse(x) for x in row] for row in data["entries"]]
-        return Matrix(ring, rows, nrows=data["rows"], ncols=data["cols"])
 
     # determinants
 

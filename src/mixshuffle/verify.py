@@ -14,10 +14,10 @@ algebra.  What "comparison" means depends on the coefficient ring:
   integral combination of the monomials.  The decomposables map of a
   degree is built sparse; its elementary divisors decide the Z/p^N
   indecomposables, and its unit-pivot elimination, back-substituted,
-  gives every word's cokernel class, which the lifted complement walk
-  and the nested summand cells read.  Only a map with a divisor other
-  than 1, or a walk that cannot finish, is made dense for a Smith form
-  with transform;
+  gives every word's class in the free part of the cokernel, which the
+  lifted complement walk and the nested summand cells read.  Only the
+  residual the unit pivots leave is made dense for a Smith form, never
+  the whole map;
 * over Z/p^N ranks are taken after reduction mod p.  By Nakayama's lemma
   the images span exactly when their reductions do, and they are a basis
   of a direct summand exactly when their reductions are independent, so a
@@ -1096,19 +1096,19 @@ def compute_cokernel_basis(semigroup, weight, degree):
     lifted complement basis.
 
     The map (_decomposables) is eliminated by unit pivots
-    (_cokernel_classes), which give its elementary divisors and, when they
-    are all 1, every word's class in the cokernel; the cokernel must be
-    free, of rank the Lyndon count.  The complement is lifted greedily
+    (_cokernel_classes), which give its elementary divisors and every
+    word's class in the free part of the cokernel, Z^m modulo the
+    saturation of the image, whatever the divisors are; the cokernel must
+    be free, of rank the Lyndon count.  The complement is lifted greedily
     through plain words, largest in pro-length order first, each
     acceptance keeping the chosen set a direct summand, which does not
     depend on the basis the classes are written in.  The walk keeps each
     word's coordinates reduced by a unimodular T that takes the chosen
     words to unit upper triangular form; a word is accepted exactly when
     its reduced coordinates below the chosen rows have gcd 1, and Euclid
-    row operations then extend the triangle by one column.  Only when a
-    divisor is not 1, or the walk cannot finish, is the map made dense for
-    a Smith form with transform U: the walk then reads the rows of U past
-    the rank, and failing again the complement is read off U.
+    row operations then extend the triangle by one column.  When the walk
+    cannot finish, the complement is lifted from the cokernel's coordinate
+    vectors, each solved for through the classes.
     """
     _require(degree >= 1, "the degree must be positive")
     weight = Fraction(weight)
@@ -1120,15 +1120,16 @@ def compute_cokernel_basis(semigroup, weight, degree):
 
 def _cokernel_classes(m, columns):
     """The elementary divisors of the map with these columns on rows
-    0..m-1, and when they are all 1 each row's class in the free cokernel
-    Z^m / im, a sparse {coordinate: int} (None when a divisor is not 1).
+    0..m-1, and each row's class in the free part of its cokernel, Z^m
+    modulo the saturation of the image, a sparse {coordinate: int}.
 
     A unit pivot (r, u, c) put u*e_r + sum c_i*e_i in the image, so
     class(e_r) = -u * sum c_i*class(e_i) on rows pivoted later or never:
     the classes are back-substituted in reverse pivot order.  A row that
     neither a pivot nor the residual holds is a free coordinate; the
     residual's rows take theirs from the rows of its own Smith transform
-    past its rank.
+    past its rank, which map onto Z^(m - rank) and vanish exactly on the
+    saturation, whatever the divisors are.
     """
     pivots, res_rows, residual = unit_pivot_elimination(columns)
     divisors = [1] * len(pivots)
@@ -1136,8 +1137,6 @@ def _cokernel_classes(m, columns):
     if residual.ncols:
         d, U, _ = residual.smith_normal_form()
         divisors += d
-        if any(x != 1 for x in d):
-            return divisors, None
         past = U.rows[len(d):]
     taken = set(res_rows).union(r for r, _, _ in pivots)
     free = [i for i in range(m) if i not in taken]
@@ -1160,6 +1159,15 @@ def _class_of(classes, vec):
     for i, x in vec.items():
         for k, y in classes[i].items():
             out[k] = out.get(k, 0) + x * y
+    return out
+
+
+def _class_matrix(classes, k):
+    """The k x m matrix of the classes of m words, column j word j's."""
+    out = [[0] * len(classes) for _ in range(k)]
+    for j, cls in enumerate(classes):
+        for i, x in cls.items():
+            out[i][j] = x
     return out
 
 
@@ -1186,25 +1194,11 @@ def _cokernel_basis(semigroup, lam, degree, rows, columns):
     ring = Ring.integers()
     m = len(rows)
     divisors, classes = _cokernel_classes(m, columns)
-    rank = len(divisors)
-    coker_rank = m - rank
+    coker_rank = m - len(divisors)
     lyndon_count = sum(1 for w in enumerate_lyndon(semigroup, degree)
                        if w.degree == degree)
     offending = [d for d in divisors if d != 1]
-    walk = None
-    if classes is not None:
-        reduced = [[0] * m for _ in range(coker_rank)]
-        for j, cls in enumerate(classes):
-            for k, x in cls.items():
-                reduced[k][j] = x
-        walk = _greedy_words(rows, reduced)
-    if walk is None:
-        # the entries are canonical ints already: no per-entry coercion
-        mu = Matrix._raw(ring, [[col.get(i, 0) for col in columns]
-                                for i in range(m)], m, len(columns))
-        _, U, _ = mu.smith_normal_form()
-        if classes is None:
-            walk = _greedy_words(rows, [row[:] for row in U.rows[rank:]])
+    walk = _greedy_words(rows, _class_matrix(classes, coker_rank))
     if walk is not None:
         method = "greedy-words"
         chosen_words, det = walk
@@ -1212,12 +1206,14 @@ def _cokernel_basis(semigroup, lam, degree, rows, columns):
                   for w in chosen_words]
         names = [w.display(True) for w in chosen_words]
     else:
-        # a complement of plain words can fail to exist; fall back to the
-        # exact complement read off the unimodular row transform
+        # a complement of plain words can fail to exist; fall back to
+        # preimages of the cokernel's coordinate vectors under the classes
         method = "transform-complement"
-        solver = _ZSolver(U)
+        solver = _ZSolver(Matrix._raw(ring, _class_matrix(
+            classes, coker_rank), coker_rank, m))
         lifted = [TensorPoly(ring, lam, semigroup, dict(zip(rows, solver.solve(
-            [int(j == i) for j in range(m)])))) for i in range(rank, m)]
+            [int(j == i) for j in range(coker_rank)]))))
+            for i in range(coker_rank)]
         names = ["c%d_%d" % (degree, i) for i in range(coker_rank)]
         det = 1
     diagnosis = {
@@ -1336,7 +1332,7 @@ def verify_nested_summand(semigroups, weight, degree_bound):
             # classes when the map's are all 1; else never all 1
             divisors, classes = _cokernel_classes(len(rows), columns)
             r = len(divisors)
-            if classes is None:
+            if any(x != 1 for x in divisors):
                 d = elementary_divisors(columns + lifts)[r:]
             else:
                 d = elementary_divisors([_class_of(classes, lift)

@@ -219,7 +219,7 @@ def reference_walk(rows, d, U):
 WALK_MAPS = [(names, lam, degree)
              for names, top in ((["x"], 6), (["x", "y"], 4),
                                 (["x", "y", "z"], 3))
-             for lam in (1, -1, 2, 3) for degree in range(1, top + 1)]
+             for lam in (0, 1, -1, 2, 3) for degree in range(1, top + 1)]
 
 
 def test_cokernel_walk_matches_trial_smith_walk():
@@ -247,11 +247,12 @@ def test_cokernel_walk_matches_trial_smith_walk():
 
 
 def test_cokernel_classes_present_the_cokernel():
-    # the classes are a map Z^m -> Z^k that kills every column and is onto
-    # with k = m - rank; when the map's divisors are all 1 its image is
-    # saturated, so the kernel is the image and the classes present the
-    # cokernel.  The maps include residuals of every kind: free1 degree 6
-    # at weight 1 leaves one with divisors [1], weight 2 ones with a 2
+    # the classes are a map Z^m -> Z^k, k = m - rank, that kills every
+    # column and is onto; its kernel is then saturated and of the image's
+    # rank, so it is the saturation of the image and the classes present
+    # the free part of the cokernel, whatever the divisors are.  The maps
+    # include residuals of every kind: free1 degree 6 at weight 1 leaves
+    # one with divisors [1], weight 2 ones with a 2
     Z = Ring.integers()
     kinds = set()
     for names, lam, degree in WALK_MAPS:
@@ -261,10 +262,7 @@ def test_cokernel_classes_present_the_cokernel():
         divisors, classes = verify_module._cokernel_classes(len(rows),
                                                             columns)
         assert divisors == d, (names, lam, degree)
-        kinds.add((residual.ncols > 0, classes is not None))
-        if classes is None:
-            assert any(x != 1 for x in d), (names, lam, degree)
-            continue
+        kinds.add((residual.ncols > 0, all(x == 1 for x in d)))
         k = len(rows) - len(d)
         for column in columns:
             assert not any(verify_module._class_of(classes, column).values())
@@ -275,6 +273,37 @@ def test_cokernel_classes_present_the_cokernel():
     assert kinds == {(False, True), (True, True), (True, False)}
     rows, columns = verify_module._decomposables(FreeAbelian(["x"]), 1, 6)
     assert unit_pivot_elimination(columns)[2].ncols
+
+
+def test_cokernel_basis_factors_only_the_residual(monkeypatch):
+    # the only Smith forms the complement takes are the residual's, when
+    # the unit pivots leave one, and on transform-complement the k x m
+    # class matrix's; never the whole map's.  A map with no unit entry is
+    # its own residual, so each list is compared exactly
+    real = Matrix.smith_normal_form
+    shapes = []
+
+    def recording(self):
+        shapes.append((self.nrows, self.ncols))
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "smith_normal_form", recording)
+    seen = set()
+    for names, lam, degree in WALK_MAPS:
+        f = FreeAbelian(names)
+        rows, columns = verify_module._decomposables(f, lam, degree)
+        _, _, residual = unit_pivot_elimination(columns)
+        del shapes[:]
+        info, _ = verify_module._cokernel_basis(f, lam, degree, rows,
+                                                columns)
+        want = [(residual.nrows, residual.ncols)] if residual.ncols else []
+        if info["method"] == "transform-complement":
+            want.append((info["coker_rank"], len(rows)))
+        assert shapes == want, (names, lam, degree)
+        seen.add((info["free"], info["method"]))
+    assert seen == {(True, "greedy-words"), (False, "greedy-words"),
+                    (True, "transform-complement"),
+                    (False, "transform-complement")}
 
 
 def test_decomposables_divisors_match_the_dense_smith_form():
