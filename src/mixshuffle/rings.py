@@ -9,9 +9,9 @@ here ever touches floating point.
 The linear algebra is exact as well: fraction-free determinants, row
 reduction over the two fields, Smith normal form over the integers
 (elementary divisors alone by unit-pivot sparse elimination, with the
-dense form only on what is left), and linear solving over every ring;
-over Z and Z/p^N one Smith factorization over Z serves any number of
-right-hand sides by one gcd rule.
+dense form only on what is left), and linear solving over every ring,
+over Z and Z/p^N by one Smith form over Z and a gcd rule (_ZSolver),
+which the tests take as their oracle.
 """
 
 from fractions import Fraction
@@ -151,8 +151,6 @@ class Ring:
             return a != 0
         if self.kind == Z:
             return a in (1, -1)
-        if self.kind == FP:
-            return a % self.p != 0
         return a % self.p != 0
 
     def inverse(self, a):
@@ -295,7 +293,6 @@ def base_power_multinomial(n, p):
     are the base-p power parts of n.  Always a p-adic unit, which the
     leading-term analysis of p-th shuffle powers relies on.
     """
-    import math
     num = math.factorial(n)
     den = 1
     for j, a in enumerate(base_p_digits(n, p)):
@@ -333,11 +330,6 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         return self
-
-    @classmethod
-    def from_columns(cls, ring, cols, nrows):
-        rows = [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
-        return cls(ring, rows, nrows=nrows, ncols=len(cols))
 
     def mul(self, other):
         if self.ring != other.ring:

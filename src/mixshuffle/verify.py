@@ -14,10 +14,9 @@ algebra.  What "comparison" means depends on the coefficient ring:
   integral combination of the monomials.  The decomposables map of a
   degree is built sparse; its elementary divisors decide the Z/p^N
   indecomposables, and its unit-pivot elimination, back-substituted,
-  gives every word's class in the free part of the cokernel, which the
-  lifted complement walk and the nested summand cells read.  Only the
-  residual the unit pivots leave is made dense for a Smith form, never
-  the whole map;
+  presents its cokernel (_cokernel_classes), which the lifted complement
+  walk and the nested summand cells read.  Only the residual the unit
+  pivots leave is made dense for a Smith form, never the whole map;
 * over Z/p^N ranks are taken after reduction mod p.  By Nakayama's lemma
   the images span exactly when their reductions do, and they are a basis
   of a direct summand exactly when their reductions are independent, so a
@@ -47,9 +46,9 @@ its shuffle twin's family through one map, g -> 1 (x) g.  Words change
 alphabet (into the monoid, or a larger one) by one map on letter codes.
 
 One helper computes the rank of a cell for every ring (and over Z its
-elementary divisors); the spanning check reads its verdict off that rank
-and solves for single words only when a cell fails, to name the first
-word out of reach.
+elementary divisors); the spanning check reads its verdict off that rank,
+and a failing cell over Z or Z/p^N names its first word out of reach from
+the same presentation of its cokernel.
 
 Reports carry one record per degree plus named side checks (generator
 relations, cardinality identities, cokernel diagnoses) and serialize to
@@ -62,6 +61,7 @@ import math
 import re
 from fractions import Fraction
 
+# _ZSolver is unused here; the benchmark tracer wraps verify._ZSolver.solve
 from .rings import Ring, Matrix, SparseEliminator, _ZSolver, _is_prime, \
     elementary_divisors, unit_pivot_elimination
 from .semigroups import Element, Unitarized, FreeAbelian, ProductSemigroup, \
@@ -668,9 +668,8 @@ def check_spanning(algebra, degree):
     leading-entry certificate first): they span when it equals the number
     of words, over a field and, by Nakayama's lemma, over Z/p^N, where the
     rank is taken mod p; over Z when moreover every elementary divisor is
-    1.  Only a failing cell tests its words one by one, against one
-    factorization of the images (an eliminator over a field, a Smith form
-    over Z and Z/p^N), to name the first word out of reach.
+    1.  A failing cell names its first word out of reach, from one
+    eliminator over a field, over Z and Z/p^N from _unreachable.
     """
     ring = algebra.ring
     if not isinstance(algebra.unit, TensorPoly):
@@ -690,18 +689,13 @@ def check_spanning(algebra, degree):
             elim = SparseEliminator(ring)
             for vec in vectors:
                 elim.insert(vec)
-            unreachable = (w for i, w in enumerate(rows)
+            unreachable = (i for i in range(len(rows))
                            if not elim.contains({i: 1}))
         else:
-            solver = _ZSolver(Matrix.from_columns(
-                ring, [[vec.get(i, 0) for i in range(len(rows))]
-                       for vec in vectors], len(rows)))
-            unreachable = (w for i, w in enumerate(rows) if solver.solve(
-                [ring.one if j == i else ring.zero
-                 for j in range(len(rows))]) is None)
-        w = next(unreachable, None)
-        if w is not None:
-            note = "word %s is not reachable" % w.display(True)
+            unreachable = _unreachable(len(rows), vectors, ring.modulus or 0)
+        i = next(unreachable, None)
+        if i is not None:
+            note = "word %s is not reachable" % rows[i].display(True)
     return CellRecord(degree, len(rows), len(cols), rank, ok, note)
 
 
@@ -1097,8 +1091,8 @@ def compute_cokernel_basis(semigroup, weight, degree):
 
     The map (_decomposables) is eliminated by unit pivots
     (_cokernel_classes), which give its elementary divisors and every
-    word's class in the free part of the cokernel, Z^m modulo the
-    saturation of the image, whatever the divisors are; the cokernel must
+    word's class in the cokernel, whose free coordinates present Z^m
+    modulo the saturation of the image, whatever the divisors are; it must
     be free, of rank the Lyndon count.  The complement is lifted greedily
     through plain words, largest in pro-length order first, each
     acceptance keeping the chosen set a direct summand, which does not
@@ -1108,7 +1102,7 @@ def compute_cokernel_basis(semigroup, weight, degree):
     its reduced coordinates below the chosen rows have gcd 1, and Euclid
     row operations then extend the triangle by one column.  When the walk
     cannot finish, the complement is lifted from the cokernel's coordinate
-    vectors, each solved for through the classes.
+    vectors by one Smith form of the k x m class matrix.
     """
     _require(degree >= 1, "the degree must be positive")
     weight = Fraction(weight)
@@ -1120,37 +1114,52 @@ def compute_cokernel_basis(semigroup, weight, degree):
 
 def _cokernel_classes(m, columns):
     """The elementary divisors of the map with these columns on rows
-    0..m-1, and each row's class in the free part of its cokernel, Z^m
-    modulo the saturation of the image, a sparse {coordinate: int}.
+    0..m-1, and a presentation of its cokernel: each row's class, a sparse
+    {coordinate: int}, and each coordinate's modulus.  The first m - rank
+    coordinates are free, of modulus 0, and present Z^m modulo the
+    saturation of the image; each divisor d > 1 adds one of modulus d.
 
     A unit pivot (r, u, c) put u*e_r + sum c_i*e_i in the image, so
     class(e_r) = -u * sum c_i*class(e_i) on rows pivoted later or never:
     the classes are back-substituted in reverse pivot order.  A row that
     neither a pivot nor the residual holds is a free coordinate; the
     residual's rows take theirs from the rows of its own Smith transform
-    past its rank, which map onto Z^(m - rank) and vanish exactly on the
-    saturation, whatever the divisors are.
+    past its rank, then from each row of divisor d > 1 (its image in dZ).
     """
     pivots, res_rows, residual = unit_pivot_elimination(columns)
     divisors = [1] * len(pivots)
-    past = []
+    torsion, transform = [], []
     if residual.ncols:
         d, U, _ = residual.smith_normal_form()
         divisors += d
-        past = U.rows[len(d):]
+        torsion = [x for x in d if x > 1]
+        transform = U.rows[len(d):] + [u for u, x in zip(U.rows, d) if x > 1]
     taken = set(res_rows).union(r for r, _, _ in pivots)
     free = [i for i in range(m) if i not in taken]
     classes = [{} for _ in range(m)]
     for k, i in enumerate(free):
         classes[i][k] = 1
-    for k, row in enumerate(past, len(free)):
+    for k, row in enumerate(transform, len(free)):
         for i, x in zip(res_rows, row):
             if x:
                 classes[i][k] = x
     for r, u, c in reversed(pivots):
         classes[r] = {k: -u * y for k, y in _class_of(classes, c).items()
                       if y}
-    return divisors, classes
+    return divisors, classes, [0] * (m - len(divisors)) + torsion
+
+
+def _unreachable(m, columns, q):
+    """The rows i, ascending, whose e_i the columns do not span over Z/q
+    (q = 0 over Z): whose class is not in q times the cokernel.  Entries
+    are taken of least absolute value mod q, which keeps -1 a unit."""
+    h = q // 2
+    _, classes, moduli = _cokernel_classes(m, [
+        {i: (x + h) % q - h if q else x for i, x in column.items()}
+        for column in columns])
+    gcds = [math.gcd(d, q) for d in moduli]
+    return (i for i, cls in enumerate(classes)
+            if any(x % gcds[k] if gcds[k] else x for k, x in cls.items()))
 
 
 def _class_of(classes, vec):
@@ -1163,11 +1172,12 @@ def _class_of(classes, vec):
 
 
 def _class_matrix(classes, k):
-    """The k x m matrix of the classes of m words, column j word j's."""
+    """The k x m matrix of m words' free coordinates, column j word j's."""
     out = [[0] * len(classes) for _ in range(k)]
     for j, cls in enumerate(classes):
         for i, x in cls.items():
-            out[i][j] = x
+            if i < k:
+                out[i][j] = x
     return out
 
 
@@ -1193,7 +1203,7 @@ def _cokernel_basis(semigroup, lam, degree, rows, columns):
     """compute_cokernel_basis on the degree's decomposables map, given."""
     ring = Ring.integers()
     m = len(rows)
-    divisors, classes = _cokernel_classes(m, columns)
+    divisors, classes, _ = _cokernel_classes(m, columns)
     coker_rank = m - len(divisors)
     lyndon_count = sum(1 for w in enumerate_lyndon(semigroup, degree)
                        if w.degree == degree)
@@ -1206,14 +1216,14 @@ def _cokernel_basis(semigroup, lam, degree, rows, columns):
                   for w in chosen_words]
         names = [w.display(True) for w in chosen_words]
     else:
-        # a complement of plain words can fail to exist; fall back to
-        # preimages of the cokernel's coordinate vectors under the classes
+        # no complement of plain words: the class matrix is onto Z^k, so
+        # V's first k columns (zip stops at them) times U lift the basis
         method = "transform-complement"
-        solver = _ZSolver(Matrix._raw(ring, _class_matrix(
-            classes, coker_rank), coker_rank, m))
-        lifted = [TensorPoly(ring, lam, semigroup, dict(zip(rows, solver.solve(
-            [int(j == i) for j in range(coker_rank)]))))
-            for i in range(coker_rank)]
+        _, U, V = Matrix._raw(ring, _class_matrix(classes, coker_rank),
+                              coker_rank, m).smith_normal_form()
+        lifted = [TensorPoly(ring, lam, semigroup, dict(zip(rows, [
+            sum(a * b for a, b in zip(v, u)) for v in V.rows])))
+            for u in zip(*U.rows)]
         names = ["c%d_%d" % (degree, i) for i in range(coker_rank)]
         det = 1
     diagnosis = {
@@ -1328,15 +1338,12 @@ def verify_nested_summand(semigroups, weight, degree_bound):
             index = {w.codes: i for i, w in enumerate(rows)}
             lifts = [{index[pad(t)]: c for t, c in poly.code_terms.items()}
                      for poly in bases[step][n - 1]]
-            # past the map's rank r: the divisors of the lifts' cokernel
-            # classes when the map's are all 1; else never all 1
-            divisors, classes = _cokernel_classes(len(rows), columns)
+            # past r, the same cokernel: torsion relations and lifts' classes
+            divisors, classes, moduli = _cokernel_classes(len(rows), columns)
             r = len(divisors)
-            if any(x != 1 for x in divisors):
-                d = elementary_divisors(columns + lifts)[r:]
-            else:
-                d = elementary_divisors([_class_of(classes, lift)
-                                         for lift in lifts])
+            torsion = [{k: x} for k, x in enumerate(moduli) if x]
+            d = elementary_divisors(torsion + [
+                _class_of(classes, lift) for lift in lifts])[len(torsion):]
             ok = len(d) == len(lifts) and all(x == 1 for x in d)
             report.cells.append(CellRecord(
                 n, len(rows) - r, len(lifts), len(d), ok,

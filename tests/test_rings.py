@@ -220,12 +220,6 @@ def test_matrix_mul_and_apply():
     assert a.apply_vector([1, 1]) == [3, 7]
 
 
-def test_matrix_from_columns():
-    Z = Ring.integers()
-    m = Matrix.from_columns(Z, [[1, 2], [3, 4]], nrows=2)
-    assert m.rows == [[1, 3], [2, 4]]
-
-
 def test_det_bareiss():
     Z = Ring.integers()
     assert Matrix(Z, [[1, 2], [3, 4]]).det_bareiss() == -2

@@ -48,6 +48,12 @@ from mixshuffle import verify as verify_module
 from mixshuffle.rings import elementary_divisors, unit_pivot_elimination
 
 
+def from_columns(ring, columns, nrows):
+    """The dense Matrix with these columns, lists of nrows entries."""
+    return Matrix(ring, [[c[i] for c in columns] for i in range(nrows)],
+                  nrows=nrows, ncols=len(columns))
+
+
 def cells_of(report):
     return [(c.degree, c.dimension, c.monomials, c.rank) for c in report.cells]
 
@@ -180,7 +186,7 @@ def test_cokernel_basis_transform_complement():
     rows, _, _, _ = decomposables_smith(f, 3, 2)
     columns = [[poly.terms.get(w, 0) for w in rows]
                for poly in (x * x, basis[0])]
-    det = Matrix.from_columns(Z, columns, len(columns)).det_bareiss()
+    det = from_columns(Z, columns, len(columns)).det_bareiss()
     assert det in (1, -1)
 
 
@@ -189,7 +195,7 @@ def decomposables_smith(semigroup, lam, degree):
     Matrix.smith_normal_form of the map made dense."""
     rows, columns = verify_module._decomposables(semigroup, lam, degree)
     dense = [[c.get(i, 0) for i in range(len(rows))] for c in columns]
-    d, U, _ = Matrix.from_columns(Ring.integers(), dense,
+    d, U, _ = from_columns(Ring.integers(), dense,
                                   len(rows)).smith_normal_form()
     return rows, columns, d, U
 
@@ -206,13 +212,13 @@ def reference_walk(rows, d, U):
         if len(words) == size:
             break
         trial = columns + [[U.rows[i][j] for i in range(rank, len(rows))]]
-        d, _, _ = Matrix.from_columns(Z, trial, size).smith_normal_form()
+        d, _, _ = from_columns(Z, trial, size).smith_normal_form()
         if len(d) == len(trial) and all(x == 1 for x in d):
             words.append(rows[j].display(True))
             columns = trial
     if len(words) < size:
         return "transform-complement", None, 1
-    det = Matrix.from_columns(Z, columns, size).det_bareiss() if size else 1
+    det = from_columns(Z, columns, size).det_bareiss() if size else 1
     return "greedy-words", words, det
 
 
@@ -247,32 +253,88 @@ def test_cokernel_walk_matches_trial_smith_walk():
 
 
 def test_cokernel_classes_present_the_cokernel():
-    # the classes are a map Z^m -> Z^k, k = m - rank, that kills every
-    # column and is onto; its kernel is then saturated and of the image's
-    # rank, so it is the saturation of the image and the classes present
-    # the free part of the cokernel, whatever the divisors are.  The maps
-    # include residuals of every kind: free1 degree 6 at weight 1 leaves
-    # one with divisors [1], weight 2 ones with a 2
+    # the free coordinates are a map Z^m -> Z^k, k = m - rank, that kills
+    # every column and is onto; its kernel is then saturated and of the
+    # image's rank, so it is the saturation of the image and they present
+    # the free part of the cokernel, whatever the divisors are.  Each
+    # divisor above 1 adds one torsion coordinate after them, in which a
+    # column's class is a multiple of it.  The maps include residuals of
+    # every kind: free1 degree 6 at weight 1 leaves one with divisors [1],
+    # weight 2 ones with a 2
     Z = Ring.integers()
     kinds = set()
     for names, lam, degree in WALK_MAPS:
         f = FreeAbelian(names)
         rows, columns, d, _ = decomposables_smith(f, lam, degree)
         _, _, residual = unit_pivot_elimination(columns)
-        divisors, classes = verify_module._cokernel_classes(len(rows),
-                                                            columns)
+        divisors, classes, moduli = verify_module._cokernel_classes(
+            len(rows), columns)
         assert divisors == d, (names, lam, degree)
         kinds.add((residual.ncols > 0, all(x == 1 for x in d)))
         k = len(rows) - len(d)
+        assert moduli == [0] * k + [x for x in d if x > 1]
         for column in columns:
-            assert not any(verify_module._class_of(classes, column).values())
+            cls = verify_module._class_of(classes, column)
+            assert not any(x for c, x in cls.items() if c < k)
+            assert all(x % moduli[c] == 0 for c, x in cls.items() if c >= k)
         if k:
             dense = [[cls.get(c, 0) for c in range(k)] for cls in classes]
-            D, _, _ = Matrix.from_columns(Z, dense, k).smith_normal_form()
+            D, _, _ = from_columns(Z, dense, k).smith_normal_form()
             assert D == [1] * k, (names, lam, degree)
     assert kinds == {(False, True), (True, True), (True, False)}
     rows, columns = verify_module._decomposables(FreeAbelian(["x"]), 1, 6)
     assert unit_pivot_elimination(columns)[2].ncols
+
+
+def membership_maps(rng):
+    """Seeded random small matrices over Z, then the WALK_MAPS
+    decomposables maps, each as (m, sparse columns on rows 0..m-1)."""
+    entries = (-6, -3, -2, -1, 0, 0, 0, 1, 2, 3, 4, 9)
+    for _ in range(60):
+        m = rng.randint(1, 5)
+        yield m, [{i: rng.choice(entries) for i in range(m)}
+                  for _ in range(rng.randint(0, 5))]
+    for names, lam, degree in WALK_MAPS:
+        rows, columns = verify_module._decomposables(FreeAbelian(names), lam,
+                                                     degree)
+        yield len(rows), columns
+
+
+@pytest.mark.parametrize("ring", (Ring.integers(), Ring.truncated_padic(2, 4),
+                                  Ring.truncated_padic(3, 4)), ids=repr)
+def test_cokernel_membership_matches_the_solver(ring):
+    # seeded differential test: e_i lies in the span of the columns over Z
+    # or Z/q exactly when Matrix.solve finds a preimage, on the columns in
+    # canonical form, as check_spanning reads them; the maps reuse one
+    # _ZSolver, Matrix.solve's factorization, on their integer columns.
+    # Over Z every column's class is 0 in the free coordinates and a
+    # multiple of the modulus in the torsion ones
+    q = ring.modulus or 0
+    seen = set()
+    for m, columns in membership_maps(random.Random("membership %r" % ring)):
+        dense = [[c.get(i, 0) for i in range(m)] for c in columns]
+        if m <= 5:
+            solve = from_columns(ring, dense, m).solve
+        else:
+            solve = verify_module._ZSolver(Matrix._raw(
+                ring, [list(r) for r in zip(*dense)], m, len(dense))).solve
+        canonical = [{i: ring.of(x) for i, x in c.items()} for c in columns]
+        unreachable = set(verify_module._unreachable(m, canonical, q))
+        for i in range(m):
+            e = [int(j == i) for j in range(m)]
+            assert (i in unreachable) == (solve(e) is None), (m, columns, i)
+            seen.add(("unreachable", i in unreachable))
+        divisors, classes, moduli = verify_module._cokernel_classes(
+            m, columns)
+        k = m - len(divisors)
+        seen.add(("torsion", len(moduli) > k))
+        for column in columns:
+            cls = verify_module._class_of(classes, column)
+            assert not any(x for c, x in cls.items() if c < k)
+            assert all(x % moduli[c] == 0 for c, x in cls.items() if c >= k)
+    # reachable and unreachable rows, cokernels with and without torsion
+    assert seen == {(kind, x) for kind in ("unreachable", "torsion")
+                    for x in (True, False)}
 
 
 def test_cokernel_basis_factors_only_the_residual(monkeypatch):
@@ -795,7 +857,7 @@ def reference_nested(semigroups, weight, degree_bound):
                        for w, c in poly.terms.items()}
                 columns.append([sum(U.rows[i][j] * c for j, c in vec.items())
                                 for i in range(rank, len(rows))])
-            d, _, _ = Matrix.from_columns(Z, columns,
+            d, _, _ = from_columns(Z, columns,
                                           size).smith_normal_form()
             ok = len(d) == len(columns) and all(x == 1 for x in d)
             cells.append((n, size, len(columns), len(d), ok,
@@ -849,9 +911,27 @@ def double_two_letter_column(monkeypatch):
     monkeypatch.setattr(verify_module, "_decomposables", patched)
 
 
+def maps_at_weight(weight):
+    """A patch that builds every decomposables map at this weight, whose
+    divisors are not all 1, the lifted bases too, whatever weight the
+    nested check runs at."""
+    def patch(monkeypatch):
+        real = verify_module._decomposables
+        monkeypatch.setattr(verify_module, "_decomposables",
+                            lambda semigroup, lam, degree:
+                            real(semigroup, weight, degree))
+    return patch
+
+
 @pytest.mark.parametrize("patch", [None, scale_one_letter_lifts,
-                                   double_two_letter_column])
+                                   double_two_letter_column] + [
+    pytest.param(maps_at_weight(w), id="maps_at_weight_%d" % w)
+    for w in (0, 2, 3)])
 def test_nested_cells_match_the_two_call_route(monkeypatch, patch):
+    # one presentation of each big map's cokernel, torsion relations
+    # beside the lifts' classes, against the map factored alone and again
+    # with the lifts appended; the doubled column and the maps at weights
+    # 0, 2 and 3 have divisors other than 1
     if patch is not None:
         patch(monkeypatch)
     free = [FreeAbelian(["x", "y", "z"][:k]) for k in (1, 2, 3)]
@@ -864,8 +944,8 @@ def test_nested_cells_match_the_two_call_route(monkeypatch, patch):
 
 def test_nested_check_eliminates_each_big_map_once(monkeypatch):
     # each big map is eliminated once, beside each lifted basis's own;
-    # elementary_divisors then reads only the lifts' classes, and the
-    # map's columns again only when the map has a divisor other than 1
+    # elementary_divisors then reads only the lifts' classes and one
+    # relation per divisor of the map other than 1, never its columns
     eliminated, divided = [], []
     real_elim = verify_module.unit_pivot_elimination
     real_divisors = verify_module.elementary_divisors
@@ -894,8 +974,9 @@ def test_nested_check_eliminates_each_big_map_once(monkeypatch):
     double_two_letter_column(monkeypatch)
     r = verify_nested_summand(chain[:2], 1, 3)
     # degree 1 has no column to double; the maps of degrees 2 and 3 have
-    # a divisor 2 and are factored again with their lifts appended
-    assert divided == [1, sizes[2, 2] + 1, sizes[2, 3] + 2]
+    # one divisor 2 each, a torsion relation beside the lifts' classes
+    assert eliminated == [sizes[k, n] for k in (1, 2) for n in (1, 2, 3)]
+    assert divided == [c.monomials + t for c, t in zip(r.cells, (0, 1, 1))]
     assert not r.passed
 
 
@@ -999,14 +1080,14 @@ def reference_spanning(algebra, degree):
                 return False, 0, "image of %s leaves the window" % name
             column[index[w]] = c
         vectors.append(column)
-    matrix = Matrix.from_columns(ring, vectors, len(rows))
+    matrix = from_columns(ring, vectors, len(rows))
     if ring.kind == "Z":
         divisors = matrix.smith_normal_form()[0]
         rank = len(divisors)
     elif ring.is_field:
         rank = matrix.row_reduce()[0]
     else:
-        reduced = Matrix.from_columns(
+        reduced = from_columns(
             Ring.prime_field(ring.p),
             [[c % ring.p for c in column] for column in vectors], len(rows))
         rank = reduced.row_reduce()[0]
@@ -1064,42 +1145,52 @@ def test_passing_spanning_check_runs_no_solve(monkeypatch):
     ]
 
     def refuse(*args):
-        raise AssertionError("a passing spanning check solved for a word")
+        raise AssertionError("a passing spanning check tested a word")
 
     monkeypatch.setattr(Matrix, "solve", refuse)
-    monkeypatch.setattr(verify_module._ZSolver, "solve", refuse)
+    monkeypatch.setattr(verify_module, "_cokernel_classes", refuse)
     for alg in algebras:
         for degree in range(5):
             assert check_spanning(alg, degree).ok, (alg.ring, degree)
 
 
 def test_failing_spanning_check_factors_once(monkeypatch):
-    # x^2 alone reaches the one-letter word x^2 but not x(x)x; the first
-    # word out of reach is named from one factorization, not a solve per
-    # word
+    # x^2 alone reaches the one-letter word x^2 but not x(x)x, and 3*x^2
+    # mod 3^4 neither; the first word out of reach is named from one
+    # presentation of the cokernel per failing integral cell, none over
+    # Q, not a solve per word, and never a Smith form of the whole cell
     def refuse(*args):
         raise AssertionError("the failure path solved word by word")
 
     monkeypatch.setattr(Matrix, "solve", refuse)
-    factorizations = []
+    presented, shapes = [], []
+    real_classes = verify_module._cokernel_classes
+    real_smith = Matrix.smith_normal_form
 
-    class CountingSolver(verify_module._ZSolver):
-        def __init__(self, matrix):
-            factorizations.append(matrix.ring)
-            super().__init__(matrix)
+    def counting_classes(m, columns):
+        presented.append((m, len(columns)))
+        return real_classes(m, columns)
 
-    monkeypatch.setattr(verify_module, "_ZSolver", CountingSolver)
+    def recording_smith(self):
+        shapes.append((self.nrows, self.ncols))
+        return real_smith(self)
+
+    monkeypatch.setattr(verify_module, "_cokernel_classes", counting_classes)
+    monkeypatch.setattr(Matrix, "smith_normal_form", recording_smith)
     f = FreeAbelian(["x"])
     x = f.parse("x")
-    rings = (Ring.rationals(), Ring.integers(), Ring.truncated_padic(3, 4))
-    for ring in rings:
-        alg = PresentedAlgebra(ring, 1, f,
-                               [word_symbol(ring, 1, f, Word((x ** 2,)))],
-                               TensorPoly.unit(ring, 1, f))
+    Zp = Ring.truncated_padic(3, 4)
+    cells = ((Ring.rationals(), 1, "x(x)x"), (Ring.integers(), 1, "x(x)x"),
+             (Zp, 1, "x(x)x"), (Zp, 3, "x^2"))
+    for ring, scale, word in cells:
+        gen = GeneratorSymbol("g", TensorPoly(ring, 1, f, {
+            Word((x ** 2,)): scale}), 2, 1)
+        alg = PresentedAlgebra(ring, 1, f, [gen], TensorPoly.unit(ring, 1, f))
         assert cell_of(check_spanning(alg, 2)) == (
-            2, 2, 1, 1, False, "word x(x)x is not reachable"), ring
-    # one Smith factorization per failing integral cell, none over Q
-    assert factorizations == list(rings[1:])
+            2, 2, 1, int(scale == 1), False,
+            "word %s is not reachable" % word), ring
+    assert presented == [(2, 1)] * 3
+    assert (2, 1) not in shapes
 
 
 def test_monomial_names_are_distinct_in_each_degree():
