@@ -277,6 +277,15 @@ def is_p_adic_unit(n, p):
     return n != 0 and n % p != 0
 
 
+def least_residue(x, q):
+    """x mod q of least absolute value, in [-q/2, q/2] (x itself when
+    q = 0), so that the Smith pivot rule sees -1 as a unit, not q - 1."""
+    if not q:
+        return x
+    h = q // 2
+    return (x + h) % q - h
+
+
 def base_p_digits(n, p):
     """Digits of n in base p, least significant first.  base_p_digits(0) == []."""
     digits = []
@@ -578,17 +587,18 @@ class Matrix:
 
 class _ZSolver:
     """Solve A*x = b over Z or Z/q, q = p^N, for many b from one Smith
-    normal form U*A*V = D of A over Z (entries mod q read as their
-    canonical ints).  With c = U*b, the diagonal equation d*y = c mod q
-    is solvable exactly when gcd(d, q) divides c, where q = 0 over Z and
-    d = 0 past the rank.
+    normal form U*A*V = D of A over Z (entries mod q read as their least
+    residues, so that the pivots stay small).  With c = U*b, the diagonal
+    equation d*y = c mod q is solvable exactly when gcd(d, q) divides c,
+    where q = 0 over Z and d = 0 past the rank.
     """
 
     def __init__(self, matrix):
+        q = self.modulus = matrix.ring.modulus or 0
         self.D, self.U, self.V = Matrix._raw(
-            Ring.integers(), matrix.rows, matrix.nrows,
-            matrix.ncols).smith_normal_form()
-        self.modulus = matrix.ring.modulus or 0
+            Ring.integers(), [[least_residue(x, q) for x in row]
+                              for row in matrix.rows],
+            matrix.nrows, matrix.ncols).smith_normal_form()
 
     def solve(self, b):
         """One solution x in canonical form, or None when none exists."""

@@ -32,13 +32,12 @@ Every cell is first read once for a certificate: when its columns have
 pairwise distinct leading rows, each holding a unit of the ring, a
 square minor on those rows is triangular with a unit diagonal, so the
 columns are independent (mod p over Z/p^N) and over Z have every
-elementary divisor 1.  Only a cell that fails it is eliminated.  Over Q
-it is then eliminated mod the 61-bit prime P = 2^61 - 1: a minor that is
-nonzero mod P is nonzero over Q, so a full rank mod P certifies the
-cell, and only a deficient one is eliminated again exactly, with
-tracking where a counterexample is to be named.  Over F_p the same
-untracked pass runs mod p.  No row or term is read as a Word or a
-Fraction on the way to a cell.
+elementary divisor 1.  Only a cell that fails it is eliminated, once, in
+its own ring: exactly over Q, mod p over F_p and Z/p^N, and by its
+elementary divisors over Z; a field window is eliminated with tracking,
+so that its first dependent column is named.  No row or term is read as
+a Word or a Fraction on the way to a cell, save the columns of a field
+window over Q that fails the certificate.
 
 Each generator family has one builder.  The Rota-Baxter verifiers mirror
 Sh(A) = A (x) Sh+(A): each builds only its heads and takes its tails from
@@ -63,7 +62,7 @@ from fractions import Fraction
 
 # _ZSolver is unused here; the benchmark tracer wraps verify._ZSolver.solve
 from .rings import Ring, Matrix, SparseEliminator, _ZSolver, _is_prime, \
-    elementary_divisors, unit_pivot_elimination
+    elementary_divisors, least_residue, unit_pivot_elimination
 from .semigroups import Element, Unitarized, FreeAbelian, ProductSemigroup, \
     ElementaryPGroup, FiniteTableSemigroup, cyclic_group_table, letter_codec
 from .words import empty_word, enumerate_words, enumerate_lyndon, \
@@ -433,19 +432,6 @@ def check_relations(algebra, max_length=None):
 # linear algebra drivers
 
 
-# A Q cell that fails _certified is first eliminated mod this prime, the
-# fallback's first stage: a minor that is nonzero mod P is nonzero over Q,
-# so full rank mod P is full rank
-_CERTIFYING_FIELD = Ring.prime_field(2 ** 61 - 1)
-
-
-def _modular_field(ring):
-    """The prime field a cell over this ring is first eliminated in."""
-    if ring.kind == "Q":
-        return _CERTIFYING_FIELD
-    return ring if ring.is_field else Ring.prime_field(ring.p)
-
-
 def _certified(ring, columns, key=None):
     """Do these sparse columns, {row: value}, certify their own full rank?
 
@@ -501,24 +487,16 @@ def _field_values(vec, den):
     return {k: Fraction(x, den) for k, x in vec.items()}
 
 
-def _rank(field, vectors):
-    elim = SparseEliminator(field)
-    for vec in vectors:
-        elim.insert(vec)
-    return elim.rank
-
-
 def _cell_rank(ring, vectors):
     """Rank of the matrix with these sparse integer columns, and over Z its
     nonzero elementary divisors (None over the other rings).
 
     A column over Q is given by its numerators over one denominator, which
     scales it by a unit.  Columns that pass _certified have full rank, and
-    over Z every divisor 1.  The others are eliminated: their rank is
-    taken mod a prime, mod p over F_p, and over Z/p^N too, where by
-    Nakayama's lemma it decides both spanning and independence at every
-    precision N; over Q mod P, where only a rank below full is recomputed
-    exactly; over Z elementary_divisors gives the divisors.
+    over Z every divisor 1.  The others are eliminated once: exactly over
+    Q, mod p over F_p, and mod p over Z/p^N, where by Nakayama's lemma
+    the rank decides both spanning and independence at every precision N;
+    over Z elementary_divisors gives the divisors.
     """
     if _certified(ring, vectors):
         n = len(vectors)
@@ -526,10 +504,11 @@ def _cell_rank(ring, vectors):
     if ring.kind == "Z":
         divisors = elementary_divisors(vectors)
         return len(divisors), divisors
-    rank = _rank(_modular_field(ring), vectors)
-    if ring.kind == "Q" and rank < len(vectors):
-        rank = _rank(ring, vectors)
-    return rank, None
+    elim = SparseEliminator(ring if ring.is_field
+                            else Ring.prime_field(ring.p))
+    for vec in vectors:
+        elim.insert(vec)
+    return elim.rank, None
 
 
 def _dependency(elim, name, vec):
@@ -548,10 +527,8 @@ def _filtered_cells(report, field, rows_by_degree, cols_by_degree):
     whole window even when individual images straddle degrees.  One
     _certified pass over every image, reading its leading row through the
     window's numbering, certifies a window in which every column enlarges
-    the span.  Any other window is eliminated: one untracked elimination
-    mod a prime (P over Q, p over F_p) certifies a run in which every
-    column enlarges the span, and a run with a dependent column is
-    eliminated again exactly, with tracking, to name it.
+    the span.  Any other window is eliminated once, in the field itself,
+    with tracking, so that its first dependent column is named.
     """
     rank = _ranks([r for rows in rows_by_degree.values() for r in rows])
     degrees = sorted(set(rows_by_degree) | set(cols_by_degree))
@@ -573,15 +550,11 @@ def _filtered_cells(report, field, rows_by_degree, cols_by_degree):
 
 def _eliminated(report, field, rank, cols):
     """(rank increment, window note) of each degree's columns, eliminated
-    cumulatively; the first dependent column goes to the report's
-    counterexample."""
-    ranked = [_ranked(rank, bucket) for bucket in cols]
-    fast = SparseEliminator(_modular_field(field))
-    if all(fast.insert(vec) for inside, _ in ranked for _, _, vec in inside):
-        return [(len(inside), note) for inside, note in ranked]
+    cumulatively in one tracked pass; the first dependent column goes to
+    the report's counterexample."""
     exact = SparseEliminator(field, track=True)
     found = []
-    for inside, note in ranked:
+    for inside, note in (_ranked(rank, bucket) for bucket in cols):
         increment = 0
         for name, image, vec in inside:
             vec = _field_values(vec, image.den)
@@ -1152,10 +1125,9 @@ def _cokernel_classes(m, columns):
 def _unreachable(m, columns, q):
     """The rows i, ascending, whose e_i the columns do not span over Z/q
     (q = 0 over Z): whose class is not in q times the cokernel.  Entries
-    are taken of least absolute value mod q, which keeps -1 a unit."""
-    h = q // 2
+    are read as their least residues mod q, which keeps -1 a unit."""
     _, classes, moduli = _cokernel_classes(m, [
-        {i: (x + h) % q - h if q else x for i, x in column.items()}
+        {i: least_residue(x, q) for i, x in column.items()}
         for column in columns])
     gcds = [math.gcd(d, q) for d in moduli]
     return (i for i, cls in enumerate(classes)

@@ -169,27 +169,16 @@ def test_reports_match_golden_with_the_certificate_off(monkeypatch, path,
         assert report_text(cases, name) == golden[name], name
 
 
-@pytest.mark.parametrize("prime", (2, 3))
-def test_field_reports_match_golden_under_a_small_certifying_prime(
-        golden_field, monkeypatch, prime):
-    # with the certificate off, Q cells are certified by their rank mod a
-    # 61-bit prime; mod 2 or 3 many are deficient and go through the
-    # exact tracked elimination, which must give the same reports
-    exact = []
+def test_field_reports_match_golden_with_no_elimination(golden_field,
+                                                       monkeypatch):
+    # every field window of these reports passes the leading-entry
+    # certificate: none reaches the tracked elimination
+    def refused(*args):
+        raise AssertionError("a field window failed the certificate")
 
-    class Recording(verify_module.SparseEliminator):
-        def __init__(self, ring, track=False):
-            super().__init__(ring, track)
-            exact.append(track and ring.kind == "Q")
-
-    monkeypatch.setattr(verify_module, "_CERTIFYING_FIELD",
-                        Ring.prime_field(prime))
-    monkeypatch.setattr(verify_module, "SparseEliminator", Recording)
-    monkeypatch.setattr(verify_module, "_certified",
-                        lambda *args, **kwargs: False)
+    monkeypatch.setattr(verify_module, "_eliminated", refused)
     for name in sorted(FIELD_CASES):
         assert report_text(FIELD_CASES, name) == golden_field[name], name
-    assert any(exact)
 
 
 if __name__ == "__main__":

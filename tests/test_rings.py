@@ -418,6 +418,32 @@ def test_solve_matches_independent_solvability(ring):
     assert min(shapes.values()) >= 20, shapes
 
 
+@pytest.mark.parametrize("ring", (Ring.truncated_padic(2, 4),
+                                  Ring.truncated_padic(3, 4)), ids=repr)
+def test_solve_factors_least_residues(monkeypatch, ring):
+    # the Smith form over Z that solves over Z/q sees each entry as its
+    # least residue in [-q/2, q/2], so -1 arrives as -1, not q - 1, and
+    # the least-absolute-value pivot rule keeps the entries small
+    q = ring.modulus
+    real = Matrix.smith_normal_form
+    factored = []
+
+    def recording(self):
+        factored.append([row[:] for row in self.rows])
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "smith_normal_form", recording)
+    rows = [[ring.of(x) for x in row] for row in
+            ([1, -1, 2, 0], [-1, q // 2, -3, 1], [0, 1 - q // 2, -1, -1])]
+    matrix = Matrix(ring, rows)
+    b = [ring.of(-1), ring.of(2), ring.of(1)]
+    x = matrix.solve(b)
+    assert x is not None and matrix.apply_vector(x) == b
+    [entries] = factored
+    assert [[ring.of(x) for x in row] for row in entries] == rows
+    assert all(-q / 2 <= x <= q / 2 for row in entries for x in row)
+
+
 # sparse eliminator
 
 

@@ -1484,8 +1484,7 @@ def test_products_with_the_unit_are_the_other_operand(kind):
                 (want.code_terms, want.den), (n, name)
 
 
-# Q cells that fail the certificate: rank mod a 61-bit prime, exact
-# elimination only when deficient
+# cells that fail the certificate are eliminated once, in their own field
 
 
 def certificate_off(monkeypatch):
@@ -1514,20 +1513,25 @@ P61 = 2 ** 61 - 1
 
 
 def test_q_cell_rank_falls_back_when_p_divides_a_minor(monkeypatch):
+    # a large prime in an entry or a minor changes nothing: the rank is
+    # taken exactly over Q, by one untracked elimination
     made = record_eliminators(monkeypatch)
     Q = Ring.rationals()
-    certifying = verify_module._CERTIFYING_FIELD
-    assert certifying.p == P61
     for vectors, rank in (
             ([{0: P61}], 1),
             ([{0: 1, 1: 1}, {0: 1, 1: 1 + P61}], 2),  # determinant P
-            ([{0: 3 * P61, 1: 1}, {0: 1}, {1: 2 * P61}], 2)):
+            ([{0: 3 * P61, 1: 1}, {0: 1}, {1: 2 * P61}], 2),
+            ([{0: 2, 1: 1}, {1: 5}], 2)):
         del made[:]
         assert verify_module._cell_rank(Q, vectors) == (rank, None)
-        assert made == [(certifying, False), (Q, False)]
-    del made[:]
-    assert verify_module._cell_rank(Q, [{0: 2, 1: 1}, {1: 5}]) == (2, None)
-    assert made == [(certifying, False)]
+        assert made == [(Q, False)]
+
+
+def column_of(ring, f, name, terms, den=1):
+    """(name, image) of a window column, its terms over den."""
+    return name, TensorPoly(ring, 1, f, {w: ring.divide(ring.of(c),
+                                                        ring.of(den))
+                                         for w, c in terms.items()})
 
 
 def test_q_filtered_cells_with_p_in_an_entry_or_a_denominator(monkeypatch):
@@ -1539,8 +1543,7 @@ def test_q_filtered_cells_with_p_in_an_entry_or_a_denominator(monkeypatch):
     rows = {2: [xx.codes, x2.codes]}
 
     def column(name, terms, den):
-        return name, TensorPoly(Q, 1, f, {w: Fraction(c, den)
-                                          for w, c in terms.items()})
+        return column_of(Q, f, name, terms, den)
 
     def cells(*cols):
         del made[:]
@@ -1548,24 +1551,45 @@ def test_q_filtered_cells_with_p_in_an_entry_or_a_denominator(monkeypatch):
         verify_module._filtered_cells(report, Q, rows, {2: list(cols)})
         return [cell_of(c) for c in report.cells], report.counterexample
 
-    # independent over Q, dependent mod P: the exact pass certifies it
+    # independent over Q, dependent mod P
     assert cells(column("a", {xx: 1, x2: 1}, 1),
                  column("b", {xx: 1, x2: 1 + P61}, 1)) == (
         [(2, 2, 2, 2, True, None)], None)
-    assert (Q, True) in made
-    # a denominator P scales its column by a unit over Q: certified mod P
-    # on the numerators alone
+    assert made == [(Q, True)]
+    # a denominator P scales its column by a unit over Q
     assert cells(column("a", {xx: 1}, P61),
                  column("b", {x2: P61 + 1}, P61)) == (
         [(2, 2, 2, 2, True, None)], None)
-    assert (Q, True) not in made
+    assert made == [(Q, True)]
     # a dependent column over the denominator P is named with its true
     # coefficient
     assert cells(column("a", {xx: 1, x2: 2}, 1),
                  column("b", {xx: 1, x2: 2}, P61)) == (
         [(2, 2, 2, 1, False, "dimension 2, monomials 2, new rank 1")],
         "b = 1/%d*a" % P61)
-    assert (Q, True) in made
+    assert made == [(Q, True)]
+
+
+@pytest.mark.parametrize("field", (Ring.rationals(), Ring.prime_field(3)),
+                         ids=repr)
+def test_failing_window_makes_one_tracked_eliminator(monkeypatch, field):
+    # the window goes straight to one tracked elimination in its own
+    # field, which names the first dependent column
+    made = record_eliminators(monkeypatch)
+    f = FreeAbelian(["x"])
+    x = f.parse("x")
+    xx, x2 = Word((x, x)), Word((x ** 2,))
+    report = mx.VerificationReport("cell", field, 1, f, {})
+    verify_module._filtered_cells(
+        report, field, {1: [Word((x,)).codes], 2: [xx.codes, x2.codes]},
+        {1: [column_of(field, f, "c", {Word((x,)): 1})],
+         2: [column_of(field, f, "a", {xx: 1, x2: 1}),
+             column_of(field, f, "b", {xx: 2, x2: 2})]})
+    assert [cell_of(c) for c in report.cells] == [
+        (1, 1, 1, 1, True, None),
+        (2, 2, 2, 1, False, "dimension 2, monomials 2, new rank 1")]
+    assert report.counterexample == "b = 2*a"
+    assert made == [(field, True)]
 
 
 def test_weighted_independence_failure_note():
@@ -1579,34 +1603,6 @@ def test_weighted_independence_failure_note():
     assert [cell_of(check_independence(alg, n)) for n in (2, 3)] == [
         (2, 2, 3, 2, False, "x^2 = 2*[x(x)x] + 5/3*[x^2]"),
         (3, 4, 5, 4, False, "x^3 = 2*x*[x(x)x] + 5/3*x*[x^2]")]
-
-
-# the pinned failure notes whose cells run over Q
-Q_FAILURES = (
-    test_field_cells_fail_on_a_dependent_family,
-    test_field_cells_fail_when_an_image_leaves_the_window,
-    test_spanning_fails_when_an_image_leaves_the_window,
-    test_failing_spanning_check_factors_once,
-    test_weighted_independence_failure_note,
-)
-
-
-@pytest.mark.parametrize("prime", (2, 3))
-def test_q_failures_reproduce_under_a_small_certifying_prime(monkeypatch,
-                                                            prime):
-    # mod 2 or 3 most Q cells are deficient: every one of them goes
-    # through the exact elimination, which must tell the same story
-    monkeypatch.setattr(verify_module, "_CERTIFYING_FIELD",
-                        Ring.prime_field(prime))
-    for test in Q_FAILURES:
-        with monkeypatch.context() as patch:
-            if inspect.signature(test).parameters:
-                test(patch)
-            else:
-                test()
-    for names, top in (("x",), 4), (("x", "y"), 3):
-        test_spanning_matches_solving_every_word(names, top,
-                                                 Ring.rationals())
 
 
 # the cells do not depend on the order of their rows
