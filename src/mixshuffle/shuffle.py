@@ -38,12 +38,14 @@ product reads its operands and files its result without building a Word
 or a Fraction.  Words and ring values are built only when a caller
 reads the Word-keyed terms of an element, on each read.
 
-Powers are not computed by repeated binary products.  A k-fold shuffle
-collapses to a walk over tuples of consumed-prefix lengths, and factors
-that are equal words at equal positions are interchangeable, so states
-are canonicalized to multisets and moves weighted by binomials; a move
-whose binomial vanishes in the ring is dropped.  This keeps p-th powers
-of small polynomials tractable for p = 5.
+Powers are not computed by repeated binary products.  The k-th power
+sums one joint shuffle per multiset of k terms, a walk over multisets of
+the factors' remaining suffixes: factors with equal suffixes are
+interchangeable, whichever words they came from, so moves are weighted
+by binomials and one whose binomial vanishes in the ring is dropped.
+The memo of states is valid for any factors over one ring, weight and
+alphabet, so the multisets of one power share it.  This keeps p-th
+powers of small polynomials tractable for p = 5.
 """
 
 import itertools
@@ -52,7 +54,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .rings import Q, Ring
-from .semigroups import OrderedSemigroup, _compositions, letter_codec
+from .semigroups import OrderedSemigroup, letter_codec
 from .words import Word, _from_codes, _word_pieces, cfl_factorize, \
     componentwise_p_power, empty_word
 
@@ -239,16 +241,15 @@ def _walk_cells(u, v, codec, merge, mod, memo):
 def _multi_shuffle(factors, codec, merge, mod, memo):
     """Counts of the words in the joint product of k code strings.
 
-    States are sorted multisets of (factor, consumed length).  Factors at
-    the same word and position are interchangeable, so a move that takes
-    j of the c such factors counts comb(c, j) times, and a move whose
-    count vanishes mod `mod` is left out.  Keying states by the factors
-    themselves keeps one memo valid across every factor multiset of the
-    same power expansion.  As in the binary product, merged slots are
-    counted but not weighted.  The walk keeps its own stack, so long
-    products do not recurse.
+    A state is the sorted tuple of the factors' remaining suffixes, on
+    which alone the product depends, so the memo is valid for any factors
+    over one ring, weight and alphabet.  A move that takes the heads of j
+    of the c equal suffixes counts comb(c, j) times, and one whose count
+    vanishes mod `mod` is left out.  As in the binary product, merged
+    slots are counted but not weighted.  The walk keeps its own stack, so
+    long products do not recurse.
     """
-    root = tuple(sorted((f, 0) for f in factors if f))
+    root = tuple(sorted(f for f in factors if f))
     memo.setdefault((), {"": 1})
     pending = {}
     stack = [root]
@@ -270,49 +271,64 @@ def _multi_shuffle(factors, codec, merge, mod, memo):
         firsts = set()
         for letter, count, nxt in moves:
             sub = memo[nxt]
-            if count != 1:
-                sub = _scaled(sub, count, mod)
+            if mod is None:
+                part = {letter + t: c * count for t, c in sub.items()}
+            else:
+                part = {letter + t: x for t, c in sub.items()
+                        if (x := c * count % mod)}
             if letter in firsts:
-                _add_prefixed(acc, letter, sub, mod)
+                _add_prefixed(acc, "", part, mod)  # prefixed already
             else:
                 firsts.add(letter)
-                acc.update({letter + t: c for t, c in sub.items()})
+                acc.update(part)
         memo[st] = acc
     return memo[root]
 
 
-def _scaled(src, count, mod):
-    """src with every count multiplied by count, leaving out what
-    vanishes mod `mod`."""
-    if mod is None:
-        return {t: c * count for t, c in src.items()}
-    return {t: x for t, c in src.items() if (x := c * count % mod)}
-
-
 def _moves(state, codec, merge, mod):
     """(letter, count, next state) for every way to fill the next slot:
-    take the heads of a nonempty sub-multiset of the factors, one head
-    alone at weight zero, and multiply them into one letter."""
-    classes = [(cls, len(tuple(group)))
-               for cls, group in itertools.groupby(state)]
+    take the heads of a nonempty sub-multiset of the suffixes, one head
+    alone at weight zero, and multiply them into one letter.  A class of
+    c equal suffixes s offers, for each j, the j-fold product of s[0],
+    comb(c, j) and the suffixes left; merging the classes' letters in
+    class order multiplies the heads in the same order as one by one.
+    """
     out = []
-    for take in itertools.product(*[range(cnt + 1) for _, cnt in classes]):
-        total = sum(take)
-        if total == 0 or (not merge and total != 1):
-            continue
+    if not merge:  # one head, taken from one class
+        for s, group in itertools.groupby(state):
+            count = len(tuple(group))
+            if mod is not None:
+                count %= mod
+            if count:
+                i = state.index(s)
+                out.append((s[0], count, tuple(sorted(
+                    state[:i] + state[i + 1:] + (s[1:],) * (len(s) > 1)))))
+        return out
+    tables = []
+    for s, group in itertools.groupby(state):
+        cnt = len(tuple(group))
+        rest = (s[1:],) if len(s) > 1 else ()
+        letter, table = None, []
+        for j in range(cnt + 1):
+            if j:
+                letter = s[0] if j == 1 else codec.merge(letter, s[0])
+            count = math.comb(cnt, j)
+            if mod is not None:
+                count %= mod
+            if count:
+                table.append((letter, count, rest * j + (s,) * (cnt - j)))
+        tables.append(table)
+    for choice in itertools.product(*tables):
         letter = None
         count = 1
         nxt = []
-        for ((word, pos), cnt), j in zip(classes, take):
-            if j:
-                count *= math.comb(cnt, j)
-                head = word[pos]
-                for _ in range(j):
-                    letter = head if letter is None \
-                        else codec.merge(letter, head)
-                if pos + 1 < len(word):
-                    nxt.extend([(word, pos + 1)] * j)
-            nxt.extend([(word, pos)] * (cnt - j))
+        for head, c, parts in choice:
+            if head is not None:
+                letter = head if letter is None else codec.merge(letter, head)
+            count *= c
+            nxt.extend(parts)
+        if letter is None:
+            continue
         if mod is not None:
             count %= mod
             if not count:
@@ -673,7 +689,8 @@ class TensorPoly(Combination):
         return word, terms[word]
 
     def shuffle_power(self, k):
-        """k-th power, expanded multinomially into joint shuffles."""
+        """k-th power, expanded multinomially into joint shuffles, one
+        per multiset of k terms."""
         R = self.ring
         if k < 0:
             raise ValueError("negative shuffle power %d" % k)
@@ -686,32 +703,29 @@ class TensorPoly(Combination):
         mod = R.modulus
         top = k * max(map(len, self.code_terms)) if merge else 0
         weights = _lam_powers(self.lam, top, mod)
+        terms = list(self.code_terms.items())
         acc = {}
         memo = {}
-        for alpha in _compositions(k, len(self.code_terms)):
-            coeff = _multinomial(k, alpha)
-            factors = []
-            for (word, x), e in zip(self.code_terms.items(), alpha):
-                if e:
-                    coeff *= x ** e
-                    factors.extend([word] * e)
+        for multiset in itertools.combinations_with_replacement(
+                range(len(terms)), k):
+            coeff = math.factorial(k)
+            for i, group in itertools.groupby(multiset):
+                e = len(tuple(group))
+                coeff = coeff // math.factorial(e) * terms[i][1] ** e
             if mod is not None and coeff % mod == 0:
                 continue
+            factors = [terms[i][0] for i in multiset]
             size = sum(map(len, factors))
+            scaled = [coeff * w for w in weights]
+            shuffled = _multi_shuffle(factors, codec, merge, mod, memo)
+            if not acc:
+                acc = {t: scaled[size - len(t)] * c
+                       for t, c in shuffled.items()}
+                continue
             get = acc.get
-            for t, c in _multi_shuffle(factors, codec, merge, mod,
-                                       memo).items():
-                acc[t] = get(t, 0) + coeff * weights[size - len(t)] * c
+            for t, c in shuffled.items():
+                acc[t] = get(t, 0) + scaled[size - len(t)] * c
         return self._like(acc, self.den ** k * self.lam.denominator ** top)
-
-
-def _multinomial(k, alpha):
-    out = 1
-    rem = k
-    for e in alpha:
-        out *= math.comb(rem, e)
-        rem -= e
-    return out
 
 
 def word_poly(ring, lam, semigroup, letters, coeff=1):

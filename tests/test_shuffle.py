@@ -348,6 +348,58 @@ def test_shuffle_power_weight_zero_single_letter():
     assert cube.terms == {Word((f.parse("x"),) * 3): 6}
 
 
+# alphabets where a head's powers wrap (mu), with an identity letter, and
+# with no products (weight zero only)
+POWER_ALPHABETS = (("mu:3,1", semigroup_from_preset("mu:3,1")),
+                   ("mu:2,2", semigroup_from_preset("mu:2,2")),
+                   ("1,x", Unitarized(FreeAbelian(["x"]))),
+                   ("set:x,y", semigroup_from_preset("set:x,y")))
+POWER_RINGS = (Ring.rationals(), Ring.integers(), Ring.prime_field(2),
+               Ring.prime_field(3), Ring.truncated_padic(2, 3),
+               Ring.truncated_padic(3, 2))
+
+
+def test_shuffle_powers_match_repeated_products_on_every_alphabet():
+    # each polynomial holds the empty word and two distinct words with one
+    # suffix, a(x)b and b(x)b, which the walk's states take as equal
+    # factors once their heads are gone
+    cases = 0
+    for name, sg in POWER_ALPHABETS:
+        letters = [w.letters[0] for w in enumerate_words(sg, 2, 1)]
+        for ring in POWER_RINGS:
+            weights = [0, 1, -1, 2] + [Fraction(1, 2)] * (ring.kind == "Q")
+            if name.startswith("set"):
+                weights = [0]
+            for lam in weights:
+                rng = random.Random("power/%s/%r/%s" % (name, ring, lam))
+                a, b = rng.sample(letters, 2)
+                words = [empty_word(), Word((a, b)), Word((b, b)),
+                         Word((rng.choice(letters),))]
+                poly = TensorPoly(ring, lam, sg, {
+                    w: rng.choice((1, -1, 2, 3)) for w in words})
+                square = poly * poly
+                assert poly.shuffle_power(2) == square, (name, ring, lam)
+                assert poly.shuffle_power(3) == square * poly, \
+                    (name, ring, lam)
+                cases += 1
+    assert cases == 3 * (6 * 4 + 1) + 6
+
+
+def test_shuffle_power_of_many_terms_keeps_its_own_stack():
+    # an enumeration of the terms' multisets that recursed once per term
+    # raised RecursionError past about 1,000 terms
+    Z = Ring.integers()
+    f = FreeAbelian(["x", "y"])
+    rng = random.Random(1200)
+    words = enumerate_words(f, 6)
+    poly = TensorPoly(Z, 1, f, {w: rng.choice((1, -1, 2)) for w in
+                                rng.sample(words, 1200)})
+    assert poly.shuffle_power(1) == poly
+    poly = TensorPoly(Z, 1, f, {w: rng.choice((1, -1, 2)) for w in
+                                words[:60]})
+    assert poly.shuffle_power(2) == poly * poly
+
+
 def test_negative_shuffle_power_is_refused():
     Q = Ring.rationals()
     f = FreeAbelian(["x"])
